@@ -23,15 +23,6 @@
 //                        mask the fan-out). Only meaningful — and only
 //                        gated — on hosts with >= 4 hardware threads; a
 //                        1-core container times pure pool overhead.
-//   * overlap_cannon   — pipelined executor: gather-heavy tall-skinny
-//                        Cannon (A(n,r) = B(n,n)·C(n,r) on a 4x1 grid,
-//                        rotated k) with Pipeline::Off vs
-//                        Pipeline::DoubleBuffer at --threads. Off pays
-//                        every systolic gather on the critical path; On
-//                        prefetches step S+1's B/C blocks into back
-//                        buffers behind step S's leaf (B home-fed, C
-//                        relay-dependent). Multi-core hosts only, like
-//                        nested_gemm_1task.
 //   * zero_copy_local_gemm — alias-aware views on a fully-local shape:
 //                        single-task tall-skinny GEMM whose whole gather
 //                        program (and writeback) is home-resident. Views
@@ -146,10 +137,10 @@ struct Result {
   std::string Detail;
   /// Whether the row participates in the --baseline regression gate.
   /// Rows whose seed/fast ratio is single-threaded on both sides are
-  /// machine-portable and always gated; the threaded pipelining rows
-  /// (nested_gemm_1task, overlap_cannon) gate themselves only on hosts
-  /// with >= 4 hardware threads, where they additionally carry absolute
-  /// floors — on fewer cores they measure pure pool overhead and mark
+  /// machine-portable and always gated; the threaded rows with absolute
+  /// floors (nested_gemm_1task and every other row keyed on
+  /// multiCoreHost()) gate themselves only on hosts with >= 4 hardware
+  /// threads — on fewer cores they measure pure pool overhead and mark
   /// themselves ungated. The remaining threaded rows are never gated.
   bool Gated = false;
 };
@@ -372,94 +363,6 @@ void benchNestedLeafGemm() {
   gateAbsolute("nested_gemm_1task", ManyMs > 0 ? OneMs / ManyMs : 0, 1.3);
 }
 
-void benchOverlapCannon() {
-  // The pipelined executor on a gather-heavy rotated-Cannon shape:
-  // A(n,r) = B(n,k) * C(j=r,k) with r tiny, distributed over a gx1 grid
-  // with k rotated systolically. Every step fetches an (n/g)x(n/g) B
-  // block (home-fed, freely prefetchable) and C's (r)x(n/g) slice
-  // (relayed between neighbour tasks, prefetchable behind the source
-  // task's published progress). The dot-product leaves touch each
-  // gathered B element only r times, so gather time is a large share of
-  // each step — the regime where hiding communication behind computation
-  // pays (paper §7.1.1). Off runs the bulk-synchronous order with the
-  // gathers on the critical path; On runs per-task chains whose surplus
-  // workers (threads = 2x tasks) stream the next step's blocks into back
-  // buffers behind the current leaves. The grid adapts to the host so
-  // the surplus is real: g = 4 on >= 8 hardware threads, else 2.
-  bool MultiCore = multiCoreHost();
-  int G = std::thread::hardware_concurrency() >= 8 ? 4 : 2;
-  int PipeThreads = 2 * G;
-  Coord N = CheckMode ? 128 : 2048;
-  Coord R = 2;
-  Machine M = Machine::grid({G, 1});
-  TensorVar A("A", {N, R}), B("B", {N, N}), C("C", {R, N});
-  IndexVar I("i"), J("j"), K("k");
-  IndexVar Io("io"), Ii("ii"), Jo("jo"), Ji("ji"), Ko("ko"), Ki("ki"),
-      Kos("kos");
-  // C indexed (j, k): both dot operands walk k contiguously.
-  Assignment Stmt(Access(A, {I, J}), Access(B, {I, K}) * Access(C, {J, K}));
-  auto Fmt = [&](const std::string &Spec) {
-    return Format({ModeKind::Dense, ModeKind::Dense},
-                  TensorDistribution::parse(Spec));
-  };
-  std::map<TensorVar, Format> Formats = {
-      {A, Fmt("xy->xy")}, {B, Fmt("xy->xy")}, {C, Fmt("xy->yx")}};
-  Schedule S(Stmt);
-  S.distribute({I, J}, {Io, Jo}, {Ii, Ji}, std::vector<int>{G, 1})
-      .divide(K, Ko, Ki, G)
-      .reorder({Io, Jo, Ko, Ii, Ji, Ki})
-      .rotate(Ko, {Io, Jo}, Kos)
-      .communicate(A, Jo)
-      .communicate({B, C}, Kos);
-  Plan P = lower(S.takeNest(), M, std::move(Formats));
-
-  std::vector<TensorVar> Tensors = {A, B, C};
-  ProblemData D = makeRegions(P, Tensors);
-  CompiledPlan CP(P);
-  int Reps = CheckMode ? 1 : 5;
-  const int Inner = CheckMode ? 1 : 4;
-  auto timeMode = [&](Pipeline Pipe, std::unique_ptr<Region> *OutCopy) {
-    ExecOptions O;
-    O.NumThreads = PipeThreads;
-    O.Mode = TraceMode::Off;
-    O.Pipe = Pipe;
-    CP.execute(D.Regions, O); // Warm buffers and pool outside the timing.
-    double Ms = bestMs(Reps, [&] {
-                  for (int It = 0; It < Inner; ++It)
-                    CP.execute(D.Regions, O);
-                }) /
-                Inner;
-    if (OutCopy) {
-      *OutCopy = std::make_unique<Region>(A, P.formatOf(A), P.M);
-      Rect::forExtents(A.shape()).forEachPoint([&](const Point &Pt) {
-        (*OutCopy)->at(Pt) = D.Regions[A]->at(Pt);
-      });
-    }
-    return Ms;
-  };
-  std::unique_ptr<Region> OffOut, OnOut;
-  double OffMs = timeMode(Pipeline::Off, &OffOut);
-  double OnMs = timeMode(Pipeline::DoubleBuffer, &OnOut);
-  double Overlap = CP.lastOverlapStats().overlapFraction();
-  if (maxDiff(*OffOut, *OnOut) != 0)
-    fail("overlap_cannon pipelined output not bitwise-identical to the "
-         "bulk-synchronous run");
-  char OverlapStr[32];
-  std::snprintf(OverlapStr, sizeof(OverlapStr), "%.0f%%", Overlap * 100);
-  record("overlap_cannon", OffMs, OnMs,
-         "tall-skinny cannon n=" + std::to_string(N) + " r=" +
-             std::to_string(R) + " procs=" + std::to_string(G) +
-             ", pipeline off vs double-buffer, " + std::to_string(PipeThreads) +
-             " threads, " + OverlapStr + " gather overlap" +
-             (MultiCore ? "" : " [single-core host: ungated]"),
-         /*Gated=*/MultiCore);
-  // The pipelined order must win outright on any multi-core host; the
-  // magnitude scales with cores and memory bandwidth (and is tracked by
-  // the relative baseline gate), so the absolute floor only pins "On
-  // beats Off".
-  gateAbsolute("overlap_cannon", OnMs > 0 ? OffMs / OnMs : 0, 1.05);
-}
-
 /// Formats a byte count as whole megabytes for the detail strings.
 std::string mbString(int64_t Bytes) {
   return std::to_string(Bytes / 1000000) + "MB";
@@ -556,11 +459,11 @@ void benchCoalesceCannon() {
   // the step gathers (plus the whole writeback) are view-elided, and the
   // half that must still move replays the compile-time coalesced run
   // program (strided row-block rectangles: one precomputed 2D memcpy grid
-  // instead of per-execute run discovery). Steady-state, pipelined
-  // executions of one artifact, views off vs on; bitwise-identical output.
+  // instead of per-execute run discovery). Steady-state executions of one
+  // artifact, views off vs on; bitwise-identical output.
   bool MultiCore = multiCoreHost();
   int G = 2;
-  int PipeThreads = 2 * G;
+  int ExecThreads = 2 * G;
   Coord N = CheckMode ? 128 : 2048;
   Coord R = 2;
   Machine M = Machine::grid({G, 1});
@@ -601,9 +504,9 @@ void benchCoalesceCannon() {
   const int Inner = CheckMode ? 1 : 4;
   std::unique_ptr<Region> OffOut, OnOut;
   double OffMs =
-      timeSteadyViews(CP, D, P, A, PipeThreads, false, Reps, Inner, &OffOut);
+      timeSteadyViews(CP, D, P, A, ExecThreads, false, Reps, Inner, &OffOut);
   double OnMs =
-      timeSteadyViews(CP, D, P, A, PipeThreads, true, Reps, Inner, &OnOut);
+      timeSteadyViews(CP, D, P, A, ExecThreads, true, Reps, Inner, &OnOut);
   if (maxDiff(*OffOut, *OnOut) != 0)
     fail("coalesce_cannon views-on output not bitwise-identical to the copy "
          "path");
@@ -1157,7 +1060,6 @@ int main(int argc, char **argv) {
   benchGather();
   benchE2EGemm();
   benchNestedLeafGemm();
-  benchOverlapCannon();
   benchZeroCopyLocalGemm();
   benchCoalesceCannon();
   benchSteadyExec();

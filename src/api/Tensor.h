@@ -167,11 +167,10 @@ public:
   /// a deadline set via execOptions().Cancel resolves the future
   /// DeadlineExceeded — without executing if it expires while the request
   /// is still queued. Under memory pressure (Executor::setMemoryBudget /
-  /// DISTAL_MEM_BUDGET) the admission may be degraded to Pipeline::Off
-  /// (output bytes unaffected; noted on the Status), shed with
-  /// ResourceExhausted carrying a retry-after hint, or refused
-  /// FailedPrecondition by the artifact's circuit breaker — see
-  /// support/ResourceGovernor.h. Thread-safe like evaluate().
+  /// DISTAL_MEM_BUDGET) the request may be shed with ResourceExhausted
+  /// carrying a retry-after hint, or refused FailedPrecondition by the
+  /// artifact's circuit breaker — see support/ResourceGovernor.h.
+  /// Thread-safe like evaluate().
   ExecFuture evaluateAsync(const Machine &M);
 
   /// Like evaluate(), returning the execution trace (precomputed at
@@ -200,11 +199,9 @@ public:
                               const Machine &M);
 
   /// Execute-time options applied by evaluate()/evaluateWithTrace()/
-  /// evaluateUncached(): threading, the task/leaf split, the pipeline
-  /// mode (Pipeline::DoubleBuffer by default — the next step's gathers
-  /// prefetch behind the current leaf), zero-copy alias views (on by
-  /// default — home-resident gathers bind leaves directly to Region
-  /// storage), and the cancellation/deadline token (Cancel; see
+  /// evaluateUncached(): threading, the task/leaf split, zero-copy alias
+  /// views (on by default — home-resident gathers bind leaves directly to
+  /// Region storage), and the cancellation/deadline token (Cancel; see
   /// CancelToken — a tripped token stops the evaluation at its next
   /// cancellation point with Cancelled/DeadlineExceeded, contained like
   /// any other failure, and a clean re-evaluate stays bitwise-identical).

@@ -57,9 +57,6 @@ struct AdmissionRequest {
   /// whether the breaker closes (success) or reopens (non-user-error
   /// failure); any other resolution releases the probe slot.
   bool Canary = false;
-  /// Admitted under soft memory pressure with pipelining forced off; the
-  /// completion path appends the degradation note to the Status.
-  bool Degraded = false;
   std::atomic<bool> Done{false};
   Status Result;
   Trace Out;
@@ -292,9 +289,6 @@ void runRequest(const std::shared_ptr<AdmissionState> &St,
   Trace T;
   Status S = Tripped ? std::move(Pre)
                      : St->CP->tryExecute(R->Regions, T, R->Opts);
-  if (!Tripped && R->Degraded)
-    S.appendNote("admitted with pipelining off under memory pressure "
-                 "(governor soft watermark); output bytes are unaffected");
   ErrorCode EC = S.code();
   std::vector<std::shared_ptr<AdmissionRequest>> ToDispatch;
   std::vector<std::shared_ptr<void>> Anchors;
@@ -728,16 +722,6 @@ ExecFuture AdmissionQueue::submit(const std::map<TensorVar, Region *> &Regions,
         !St->ProbeInFlight) {
       R->Canary = true;
       St->ProbeInFlight = true;
-    }
-    // Soft memory pressure: degrade the admission to the bulk-synchronous
-    // order — no back buffers, roughly half the per-execution footprint,
-    // bitwise-identical output by the Pipeline contract. Recorded in the
-    // governor stats and, at completion, in the Status note.
-    if (ResourceGovernor::pressure() == ResourceGovernor::Pressure::Soft &&
-        R->Opts.Pipe != Pipeline::Off) {
-      R->Opts.Pipe = Pipeline::Off;
-      R->Degraded = true;
-      ResourceGovernor::noteDegradedAdmission();
     }
     ++St->Counters.Admitted;
     // Activate only when a slot is free AND no admitted request conflicts

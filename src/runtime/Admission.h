@@ -23,7 +23,7 @@
 ///  * The coalescing key is the region map plus *result compatibility*,
 ///    not option equality: every ExecOptions knob except the trace mode
 ///    produces bitwise-identical output (see ExecOptions), so requests
-///    differing only in threading/pipeline/view options share one pass
+///    differing only in threading/view options share one pass
 ///    (the first submission's options win). A request wanting a trace
 ///    never coalesces onto a TraceMode::Off pass.
 ///
@@ -52,16 +52,14 @@
 /// ordinary containment path. Dropping every ExecFuture copy of a
 /// still-unclaimed Deferred request auto-cancels it (see ExecFuture).
 ///
-/// Memory pressure (see support/ResourceGovernor.h): under the governor's
-/// *soft* watermark, new admissions are degraded to Pipeline::Off (no
-/// back buffers; output bytes are bitwise-identical by the Pipeline
-/// contract) and the degradation is recorded in the execution's Status
-/// note. Under the *hard* watermark, submit() sheds every queued
-/// *unclaimed* request newest-first — running executions are never
-/// touched — and rejects the new submission, all with ResourceExhausted
-/// carrying a machine-readable "retry-after-ms=N" hint
-/// (ResourceGovernor::parseRetryAfterMs reads it back). Both are counted
-/// in Stats::Shed.
+/// Memory pressure (see support/ResourceGovernor.h): above the governor's
+/// *soft* watermark admissions run unchanged (only the artifact's arena
+/// pool stops caching idle arenas). Under the *hard* watermark, submit()
+/// sheds every queued *unclaimed* request newest-first — running
+/// executions are never touched — and rejects the new submission, all
+/// with ResourceExhausted carrying a machine-readable "retry-after-ms=N"
+/// hint (ResourceGovernor::parseRetryAfterMs reads it back). Both are
+/// counted in Stats::Shed.
 ///
 /// Circuit breaker: K consecutive non-user-error execution failures
 /// (Internal/Injected — not InvalidArgument, Cancelled, or deadline

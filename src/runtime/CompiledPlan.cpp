@@ -18,21 +18,15 @@
 // never oversubscribe the machine (and at budget 1 an execution runs fully
 // inline on its client thread — N clients, N truly parallel walks).
 //
-// Two execution orders produce those identical bytes:
-//
-//  * Pipeline::Off — the bulk-synchronous order: all tasks complete step
-//    S's gathers and leaf before any task starts step S+1.
-//  * Pipeline::DoubleBuffer — per-task step progression: each task runs
-//    its own (wait -> flip -> prefetch -> leaf) chain with no global step
-//    barrier. While step S's leaf computes, the prefetchable gathers of
-//    step S+1 stream into each instance's *back* buffer as detached jobs
-//    on the pool's communication lane, then flip() promotes them. This is
-//    legal because prefetch gathers only read input Regions, which are
-//    immutable for the whole execution; systolic relays additionally gate
-//    on the relay-source task's published step progress, mirroring the
-//    availability constraint of a real distributed run. Gathers the
-//    schedule excluded (or whose dependency is not yet met) fall back to
-//    the synchronous path on arrival — same bytes, no overlap.
+// One execution order: tasks fan out once, and each task runs its own
+// chain — launch gathers, then (gather -> leaf) per step — with no global
+// step barrier (runTask, which CompiledProgram's task nodes run too). This
+// is legal because every gather only reads input Regions, which are
+// immutable for the whole execution, and every accumulator is either
+// task-private or an exclusively-owned alias of the output region; so no
+// task can observe another's progress, and at one thread the walk is
+// simply task-major. Copy/compute overlap is left to the distributed
+// runtime, which the Simulator models as MachineSpec::OverlapFactor.
 //
 //===----------------------------------------------------------------------===//
 
@@ -40,7 +34,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <functional>
 #include <optional>
 #include <sstream>
 
@@ -62,28 +55,6 @@ CompiledPlan::CompiledPlan(Plan Pl, const Mapper &Map, LeafStrategy Strategy)
 }
 
 CompiledPlan::~CompiledPlan() = default;
-
-CompiledPlan::PrefetchStats CompiledPlan::prefetchStats() const {
-  PrefetchStats S;
-  for (const CompiledTask &CT : Tasks)
-    for (size_t Step = 0; Step < CT.PrefetchDeps.size(); ++Step)
-      for (size_t G = 0; G < CT.PrefetchDeps[Step].size(); ++G) {
-        // A view-elided gather is not "prefetchable" — there is no copy to
-        // hide — whatever its dependency entry says.
-        if (CT.StepGathers[Step][G].Class == GatherClass::Aliasable) {
-          ++S.Elided;
-          continue;
-        }
-        int32_t Dep = CT.PrefetchDeps[Step][G];
-        if (Dep == CompiledTask::PrefetchFree)
-          ++S.Free;
-        else if (Dep >= 0)
-          ++S.Dependent;
-        else
-          ++S.Excluded;
-      }
-  return S;
-}
 
 CompiledPlan::DataMovementStats CompiledPlan::dataMovementStats() const {
   DataMovementStats D;
@@ -111,11 +82,6 @@ int64_t CompiledPlan::zeroSkipTaskCount() const {
   for (const CompiledTask &CT : Tasks)
     N += CT.SkipOutputZero ? 1 : 0;
   return N;
-}
-
-CompiledPlan::OverlapStats CompiledPlan::lastOverlapStats() const {
-  std::lock_guard<std::mutex> Lock(StateMutex);
-  return LastOverlap;
 }
 
 void CompiledPlan::ensureExecState(ExecArena &A) const {
@@ -147,39 +113,6 @@ void CompiledPlan::ensureExecState(ExecArena &A) const {
   A.MemCharge.add(Sum);
 }
 
-void CompiledPlan::ensurePipelineState(ExecArena &A) const {
-  if (A.PipeReady.load(std::memory_order_acquire))
-    return;
-  // Back buffers for every tensor the schedule may prefetch, sized like
-  // the fronts so steady-state flips never reallocate; plus the per-task
-  // progress slots the relay dependencies read. The back-buffer bytes are
-  // charged against the governor here (the fronts were charged by
-  // ensureExecState).
-  int64_t Sum = 0;
-  for (size_t I = 0; I < Tasks.size(); ++I) {
-    const CompiledTask &CT = Tasks[I];
-    std::map<TensorVar, int64_t> MaxVol;
-    for (size_t S = 0; S < CT.StepGathers.size(); ++S)
-      for (size_t G = 0; G < CT.StepGathers[S].size(); ++G)
-        if (CT.PrefetchDeps[S][G] != CompiledTask::NoPrefetch) {
-          const CompiledGather &CG = CT.StepGathers[S][G];
-          MaxVol[CG.Tensor] = std::max(MaxVol[CG.Tensor], CG.R.volume());
-        }
-    for (const auto &[TV, Vol] : MaxVol) {
-      A.Execs[I].OwnedInsts[TV].back().reserve(Vol);
-      Sum += std::max<int64_t>(Vol, 1) * 8;
-    }
-  }
-  Sum += static_cast<int64_t>(std::max<size_t>(Tasks.size(), 1)) *
-         sizeof(std::atomic<int32_t>);
-  A.MemCharge.add(Sum);
-  A.Progress = std::make_unique<std::atomic<int32_t>[]>(
-      std::max<size_t>(Tasks.size(), 1));
-  // Release store pairs with stuckReport's acquire load: once PipeReady is
-  // observed true, the Progress array pointer above is safely readable.
-  A.PipeReady.store(true, std::memory_order_release);
-}
-
 bool CompiledPlan::poisoned() const {
   std::lock_guard<std::mutex> Lock(StateMutex);
   return Poisoned;
@@ -207,8 +140,7 @@ std::unique_ptr<ExecArena> CompiledPlan::acquireArena() {
 void CompiledPlan::releaseArena(std::unique_ptr<ExecArena> A) {
   // Under memory pressure the pool stops caching: the idle arena's buffers
   // are freed immediately (its Charge releases their bytes), draining
-  // usage instead of parking it. Clean arenas hold no detached work, so
-  // destruction is safe.
+  // usage instead of parking it.
   if (ResourceGovernor::pressure() != ResourceGovernor::Pressure::None) {
     ResourceGovernor::noteArenaCacheBypass();
     return;
@@ -227,10 +159,10 @@ CompiledPlan::ArenaStats CompiledPlan::arenaStats() const {
 }
 
 int64_t CompiledPlan::footprintBytes() const {
-  // An estimate of the artifact's resident metadata: the dominant terms
-  // are the per-task gather programs and the prefetch schedule. Exact
-  // malloc accounting is not the goal — the PlanCache only needs a
-  // consistent measure to charge cached artifacts with.
+  // An estimate of the artifact's resident metadata: the dominant term is
+  // the per-task gather programs. Exact malloc accounting is not the goal
+  // — the PlanCache only needs a consistent measure to charge cached
+  // artifacts with.
   int64_t Sum = static_cast<int64_t>(sizeof(*this));
   for (const CompiledTask &CT : Tasks) {
     Sum += static_cast<int64_t>(sizeof(CompiledTask));
@@ -238,8 +170,6 @@ int64_t CompiledPlan::footprintBytes() const {
                                 sizeof(CompiledGather));
     for (const auto &Step : CT.StepGathers)
       Sum += static_cast<int64_t>(Step.size() * sizeof(CompiledGather));
-    for (const auto &Step : CT.PrefetchDeps)
-      Sum += static_cast<int64_t>(Step.size() * sizeof(int32_t));
     Sum += static_cast<int64_t>(CT.RunLeaf.size());
   }
   return Sum;
@@ -253,42 +183,15 @@ std::string CompiledPlan::stuckReport() const {
   std::lock_guard<std::mutex> Lock(StateMutex);
   std::ostringstream OS;
   for (const ExecArena *A : InFlight) {
-    int32_t Phase = A->HbPhase.load(std::memory_order_relaxed);
     int64_t AgeMs =
         (NowNs - A->HbStartNs.load(std::memory_order_relaxed)) / 1000000;
     OS << "execution (age " << AgeMs << " ms): ";
-    switch (Phase) {
+    switch (A->HbPhase.load(std::memory_order_relaxed)) {
     case 1:
-      OS << "launch gathers";
+      OS << "task walk, " << A->StepsDone.load(std::memory_order_relaxed)
+         << " of " << Tasks.size() * StepVals.size() << " task-steps done";
       break;
-    case 2: {
-      int32_t Step = A->HbStep.load(std::memory_order_relaxed);
-      if (Step == -2 && !Tasks.empty() &&
-          A->PipeReady.load(std::memory_order_acquire) && A->Progress) {
-        // Pipelined order: per-task watermarks. Min identifies the parked
-        // task(s); max shows how far the fastest chain ran ahead.
-        int32_t Min = INT32_MAX, Max = INT32_MIN;
-        size_t AtMin = 0;
-        for (size_t I = 0; I < Tasks.size(); ++I) {
-          int32_t S = A->Progress[I].load(std::memory_order_relaxed);
-          if (S < Min) {
-            Min = S;
-            AtMin = 1;
-          } else if (S == Min) {
-            ++AtMin;
-          }
-          Max = std::max(Max, S);
-        }
-        OS << "step loop (pipelined), task step watermark min " << Min
-           << " max " << Max << " of " << StepVals.size() << ", " << AtMin
-           << " task(s) parked at min";
-      } else {
-        OS << "step loop, completed step " << Step << " of "
-           << StepVals.size();
-      }
-      break;
-    }
-    case 3:
+    case 2:
       OS << "writeback";
       break;
     default:
@@ -345,42 +248,132 @@ Status CompiledPlan::tryExecute(const std::map<TensorVar, Region *> &Regions,
   try {
     Out = executeBody(*A, Slot, Regions, Opts);
     Unregister();
-    {
-      std::lock_guard<std::mutex> Lock(StateMutex);
-      LastOverlap = OverlapStats{};
-      LastOverlap.PrefetchSeconds =
-          static_cast<double>(A->PrefetchNs.load()) * 1e-9;
-      LastOverlap.SyncSeconds = static_cast<double>(A->SyncNs.load()) * 1e-9;
-      LastOverlap.WaitSeconds = static_cast<double>(A->WaitNs.load()) * 1e-9;
-    }
     releaseArena(std::move(A));
     return Status();
   } catch (...) {
     Unregister();
     Status S = statusFromCurrentException();
-    // Containment, per-arena: (1) drain the arena's in-flight prefetch
-    // tickets — their jobs reference arena state (back buffers, overlap
-    // counters); (2) discard the arena instead of returning it to the
-    // pool, so no partially-mutated buffer survives into a later run. The
-    // artifact and sibling executions are untouched either way; only a
-    // failed drain costs more than one arena (quarantine).
-    if (A->quiescePending()) {
-      {
-        std::lock_guard<std::mutex> Lock(StateMutex);
-        ++Arenas.Discarded;
-      }
-      A.reset();
-      S.appendNote("failed execution's arena discarded; the artifact "
-                   "remains reusable");
-    } else {
+    // Containment, per-arena: the walk issues no detached work, so once
+    // the failing fan-out has unwound nothing references the arena. It is
+    // discarded instead of returning to the pool, so no partially-mutated
+    // buffer survives into a later run; the artifact and sibling
+    // executions are untouched.
+    {
       std::lock_guard<std::mutex> Lock(StateMutex);
-      ++Arenas.Condemned;
-      CondemnedArenas.push_back(std::move(A));
-      S.appendNote("in-flight prefetch work could not be quiesced; the "
-                   "failed arena is quarantined, the artifact remains "
-                   "reusable");
+      ++Arenas.Discarded;
     }
+    A.reset();
+    S.appendNote("failed execution's arena discarded; the artifact "
+                 "remains reusable");
     return S;
+  }
+}
+
+CompiledPlan::ThreadLayout CompiledPlan::resolveThreads(
+    const ExecOptions &Opts, const ExecutionSlot &Slot, int64_t NumTasks,
+    std::unique_ptr<ExecContext> &OwnCtx,
+    std::optional<ThreadPool::InlineScope> &Inline) {
+  // The configured width is divided by the number of executions in flight
+  // (ExecutionSlot::budget) so concurrent executions share the machine
+  // instead of oversubscribing it; at budget 1 the walk runs fully inline
+  // on the calling thread.
+  int Configured = Opts.Ctx              ? Opts.Ctx->numThreads()
+                   : Opts.NumThreads > 0 ? Opts.NumThreads
+                                         : defaultExecutorThreads();
+  int Threads = Slot.budget(Configured);
+  ThreadLayout L;
+  if (Threads == 1) {
+    Inline.emplace();
+    return L;
+  }
+  ExecContext *Ctx = Opts.Ctx;
+  if (!Ctx || Ctx->numThreads() != Threads) {
+    if (!OwnCtx || OwnCtx->numThreads() != Threads)
+      OwnCtx = std::make_unique<ExecContext>(Threads);
+    Ctx = OwnCtx.get();
+  }
+  // Divide the context's threads between task fan-out and leaf fan-out.
+  // Leaf kernels receive the pool plus a ways budget and fan out as
+  // sub-range jobs on the *same* pool, so task- and leaf-level work share
+  // one set of threads with no oversubscription.
+  ExecContext::Split Split =
+      Opts.ForceTaskWays > 0
+          ? ExecContext::Split{Opts.ForceTaskWays, Opts.ForceLeafWays}
+          : Ctx->splitFor(NumTasks);
+  if (Split.TaskWays > 1 || Split.LeafWays > 1)
+    L.Pool = Ctx->pool();
+  L.TaskWays = Split.TaskWays;
+  if (L.Pool && Split.LeafWays > 1)
+    L.LeafLP = {L.Pool, Split.LeafWays};
+  return L;
+}
+
+void CompiledPlan::runTask(ExecArena &A, size_t TaskIdx, const TaskWalk &W,
+                           const ProgramTaskLinks *Links) const {
+  const CompiledTask &CT = Tasks[TaskIdx];
+  ExecArena::TaskExec &TE = A.Execs[TaskIdx];
+  bool Compiled = Strategy == LeafStrategy::Compiled;
+  // Bind one recorded input gather. Aliasable gathers (and, in a linked
+  // program, link-elided ones) bind a zero-copy view of Region storage;
+  // the rest reset + replay the precomputed coalesced run program.
+  auto bindInput = [&](const CompiledGather &G, bool LinkElided) {
+    FaultInjector::inject(FaultInjector::Site::Gather, W.Fault);
+    Instance &Inst = TE.OwnedInsts[G.Tensor];
+    if (W.ViewsOn && (G.Class == GatherClass::Aliasable || LinkElided)) {
+      W.Regions.at(G.Tensor)->bindView(Inst, G.R);
+    } else {
+      Inst.reset(G.R);
+      if (Compiled)
+        W.Regions.at(G.Tensor)->gatherCompiled(Inst, G.Runs, W.LeafLP);
+      else
+        W.Regions.at(G.Tensor)->gatherIntoPointwise(Inst);
+    }
+    TE.Insts[G.Tensor] = &Inst;
+  };
+
+  // Launch phase: task-level instances (private accumulator for the
+  // output, fetched copies for the inputs). The accumulator's zero is
+  // skipped when the compile phase proved the leaf overwrites it entirely;
+  // an aliased accumulator (exclusive home-resident rectangle, or a linked
+  // in-place writer) binds the region storage itself, which the
+  // region-wide zero already cleared, and elides its writeback at the end.
+  for (size_t Gi = 0; Gi < CT.LaunchGathers.size(); ++Gi) {
+    const CompiledGather &G = CT.LaunchGathers[Gi];
+    if (!G.IsOutput) {
+      bindInput(G, Links && Links->LaunchView[Gi]);
+      continue;
+    }
+    Instance &Inst = TE.OwnedInsts[G.Tensor];
+    if (W.ViewsOn &&
+        (G.Class == GatherClass::Aliasable || (Links && Links->OutView))) {
+      W.Regions.at(G.Tensor)->bindView(Inst, G.R);
+    } else {
+      Inst.reset(G.R);
+      if (!(Compiled && CT.SkipOutputZero))
+        Inst.zero();
+    }
+    TE.Insts[G.Tensor] = &Inst;
+  }
+
+  // Steps: fetches and leaf kernels replayed from the compiled program
+  // (rectangles, residency dedup, and leaf activation were all decided at
+  // compile time).
+  for (size_t S = 0; S < StepVals.size(); ++S) {
+    W.Cancel.check();
+    for (const auto &[V, C] : StepVals[S])
+      TE.FixedVals[V] = C;
+    const std::vector<CompiledGather> &Gs = CT.StepGathers[S];
+    for (size_t Gi = 0; Gi < Gs.size(); ++Gi)
+      bindInput(Gs[Gi], Links && Links->StepView[S][Gi]);
+    if (CT.RunLeaf[S]) {
+      FaultInjector::inject(FaultInjector::Site::Leaf, W.Fault);
+      if (Compiled)
+        leaf::runCompiledLeaf(TE.Leaf, P, TE.FixedVals, TE.Insts, RhsTape,
+                              W.LeafLP, CT.SkipOutputZero);
+      else
+        leaf::runInterpretedLeaf(P, TE.FixedVals, TE.Insts);
+    }
+    A.StepsDone.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -393,302 +386,38 @@ Trace CompiledPlan::executeBody(ExecArena &A, const ExecutionSlot &Slot,
       reportFatalError("no region provided for tensor '" + TV.name() + "'");
   // Cancellation gate before any side effect, then heartbeat start. The
   // token (invalid: a pointer test; quiet: one relaxed load) is re-polled
-  // at every step boundary, prefetch issue, and chunk claim below.
+  // at every task's step boundaries and every chunk claim below.
   Opts.Cancel.check();
   const CancelToken *Tok = Opts.Cancel.valid() ? &Opts.Cancel : nullptr;
   A.HbStartNs.store(std::chrono::duration_cast<std::chrono::nanoseconds>(
                         std::chrono::steady_clock::now().time_since_epoch())
                         .count(),
                     std::memory_order_relaxed);
-  A.HbStep.store(-1, std::memory_order_relaxed);
+  A.StepsDone.store(0, std::memory_order_relaxed);
   A.HbPhase.store(1, std::memory_order_relaxed);
   Regions.at(Out)->zero();
 
-  // Resolve the execution context and the task/leaf thread split. The
-  // configured width is divided by the number of executions in flight
-  // (ExecutionSlot::budget) so concurrent executions share the machine
-  // instead of oversubscribing it; at budget 1 the walk runs fully inline
-  // on the calling thread. The budget only changes scheduling, never
-  // output bytes.
-  int Configured = Opts.Ctx              ? Opts.Ctx->numThreads()
-                   : Opts.NumThreads > 0 ? Opts.NumThreads
-                                         : defaultExecutorThreads();
-  int Threads = Slot.budget(Configured);
-  ExecContext *Ctx = nullptr;
-  if (Threads > 1) {
-    if (Opts.Ctx && Opts.Ctx->numThreads() == Threads) {
-      Ctx = Opts.Ctx;
-    } else {
-      if (!A.OwnCtx || A.OwnCtx->numThreads() != Threads)
-        A.OwnCtx = std::make_unique<ExecContext>(Threads);
-      Ctx = A.OwnCtx.get();
-    }
-  }
-  // At 1 thread the whole run — including nested BLAS kernels — must stay
-  // on this thread.
-  std::optional<ThreadPool::InlineScope> InlineGuard;
-  if (Threads == 1)
-    InlineGuard.emplace();
-
-  // Divide the context's threads between task fan-out and leaf fan-out.
-  // Leaf kernels receive the pool plus a ways budget and fan out as
-  // sub-range jobs on the *same* pool, so task- and leaf-level work share
-  // one set of N threads with no oversubscription. The pipelined path adds
-  // the communication lane: prefetch gathers are detached priority jobs on
-  // that same pool, each bounded to the lane's ways budget.
-  ExecContext::Split Split;
-  ThreadPool *Pool = nullptr;
-  LeafParallelism LeafLP;
-  int CommWays = 1;
   int64_t NumTasks = static_cast<int64_t>(Tasks.size());
-  if (Ctx && Threads > 1) {
-    ExecContext::Lanes Lanes = Ctx->lanesFor(NumTasks);
-    Split = Opts.ForceTaskWays > 0
-                ? ExecContext::Split{Opts.ForceTaskWays, Opts.ForceLeafWays}
-                : Lanes.Compute;
-    CommWays = Lanes.CommWays;
-    if (Split.TaskWays > 1 || Split.LeafWays > 1)
-      Pool = Ctx->pool();
-    if (Pool && Split.LeafWays > 1)
-      LeafLP = {Pool, Split.LeafWays};
-  }
-  auto parallelTasks = [&](const std::function<void(int64_t)> &Fn) {
-    if (Pool && Split.TaskWays > 1)
-      Pool->parallelForWays(
-          NumTasks, Split.TaskWays,
-          [&](int64_t Lo, int64_t Hi) {
-            for (int64_t I = Lo; I < Hi; ++I)
-              Fn(I);
-          },
-          Tok);
-    else
-      for (int64_t I = 0; I < NumTasks; ++I)
-        Fn(I);
-  };
-
-  bool Pipelined = Opts.Pipe == Pipeline::DoubleBuffer &&
-                   Strategy == LeafStrategy::Compiled && Pool != nullptr &&
-                   !StepVals.empty();
-  bool OverwriteLeaves = Strategy == LeafStrategy::Compiled;
-  // Zero-copy views only for the compiled strategy: the interpreted path
-  // is the seed reference and always copies.
-  bool ViewsOn = Opts.ZeroCopyViews && Strategy == LeafStrategy::Compiled;
-
+  std::optional<ThreadPool::InlineScope> Inline;
+  ThreadLayout Layout = resolveThreads(Opts, Slot, NumTasks, A.OwnCtx, Inline);
   ensureExecState(A);
-  if (Pipelined)
-    ensurePipelineState(A);
 
-  using Clock = std::chrono::steady_clock;
-  A.PrefetchNs.store(0, std::memory_order_relaxed);
-  A.SyncNs.store(0, std::memory_order_relaxed);
-  A.WaitNs.store(0, std::memory_order_relaxed);
-  auto nsSince = [](Clock::time_point T0) {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                                T0)
-        .count();
-  };
-  // Bind one recorded input gather into its front buffer — the synchronous
-  // (critical-path) route shared by the bulk-synchronous order and the
-  // pipelined fallbacks, so the binding rules can never diverge between
-  // the two orders. Aliasable gathers bind a zero-copy view of Region
-  // storage (no bytes move, no time counted); the rest reset + replay the
-  // precomputed coalesced run program. \p Counter, when given, accumulates
-  // a copy's wall time.
-  auto syncGather = [&](ExecArena::TaskExec &TE, const CompiledGather &G,
-                        std::atomic<int64_t> *Counter) {
-    FaultInjector::inject(FaultInjector::Site::Gather, &A.Fault);
-    Instance &Inst = TE.OwnedInsts[G.Tensor];
-    if (ViewsOn && G.Class == GatherClass::Aliasable) {
-      Regions.at(G.Tensor)->bindView(Inst, G.R);
-      TE.Insts[G.Tensor] = &Inst;
-      return;
-    }
-    Clock::time_point T0 = Counter ? Clock::now() : Clock::time_point{};
-    Inst.reset(G.R);
-    if (Strategy == LeafStrategy::Compiled)
-      Regions.at(G.Tensor)->gatherCompiled(Inst, G.Runs, LeafLP);
-    else
-      Regions.at(G.Tensor)->gatherIntoPointwise(Inst);
-    TE.Insts[G.Tensor] = &Inst;
-    if (Counter)
-      Counter->fetch_add(nsSince(T0), std::memory_order_relaxed);
-  };
-
-  // Launch phase: task-level instances (private accumulator for the
-  // output, fetched copies for the inputs). Tasks only read shared
-  // regions, so they are independent. The accumulator's zero is skipped
-  // when the compile phase proved the leaf overwrites it entirely; an
-  // aliased accumulator (exclusive home-resident rectangle) binds the
-  // region storage itself, which the region-wide zero above already
-  // cleared, and elides its writeback at the end.
-  parallelTasks([&](int64_t I) {
-    const CompiledTask &CT = Tasks[static_cast<size_t>(I)];
-    ExecArena::TaskExec &TE = A.Execs[static_cast<size_t>(I)];
-    for (const CompiledGather &G : CT.LaunchGathers) {
-      if (!G.IsOutput) {
-        syncGather(TE, G, nullptr);
-        continue;
-      }
-      Instance &Inst = TE.OwnedInsts[G.Tensor];
-      if (ViewsOn && G.Class == GatherClass::Aliasable) {
-        Regions.at(G.Tensor)->bindView(Inst, G.R);
-      } else {
-        Inst.reset(G.R);
-        if (!(OverwriteLeaves && CT.SkipOutputZero))
-          Inst.zero();
-      }
-      TE.Insts[G.Tensor] = &Inst;
-    }
-  });
-
-  // Steps: per-task fetches and leaf kernels, replayed from the compiled
-  // program (rectangles, residency dedup, leaf activation, and the
-  // prefetch schedule were all decided at compile time).
-  if (!Pipelined) {
-    A.HbPhase.store(2, std::memory_order_relaxed);
-    for (size_t S = 0; S < StepVals.size(); ++S) {
-      // Step boundary: the bulk-synchronous order's cancellation point.
-      Opts.Cancel.check();
-      parallelTasks([&](int64_t I) {
-        const CompiledTask &CT = Tasks[static_cast<size_t>(I)];
-        ExecArena::TaskExec &TE = A.Execs[static_cast<size_t>(I)];
-        for (const auto &[V, C] : StepVals[S])
-          TE.FixedVals[V] = C;
-        for (const CompiledGather &G : CT.StepGathers[S])
-          syncGather(TE, G, nullptr);
-        if (CT.RunLeaf[S]) {
-          FaultInjector::inject(FaultInjector::Site::Leaf, &A.Fault);
-          if (Strategy == LeafStrategy::Compiled)
-            leaf::runCompiledLeaf(TE.Leaf, P, TE.FixedVals, TE.Insts, RhsTape,
-                                  LeafLP, OverwriteLeaves && CT.SkipOutputZero);
-          else
-            leaf::runInterpretedLeaf(P, TE.FixedVals, TE.Insts);
-        }
-      });
-      // Heartbeat: step S is fully done across all tasks.
-      A.HbStep.store(static_cast<int32_t>(S), std::memory_order_relaxed);
-    }
-  } else {
-    size_t NumSteps = StepVals.size();
-    for (int64_t I = 0; I < NumTasks; ++I)
-      A.Progress[static_cast<size_t>(I)].store(-1, std::memory_order_relaxed);
-    // Pipelined heartbeat: per-task progress lives in A.Progress; HbStep's
-    // -2 sentinel tells stuckReport to read it.
-    A.HbStep.store(-2, std::memory_order_relaxed);
-    A.HbPhase.store(2, std::memory_order_relaxed);
-    LeafParallelism CommLP =
-        CommWays > 1 ? LeafParallelism{Pool, CommWays} : LeafParallelism{};
-
-    parallelTasks([&](int64_t TaskIdx) {
-      const CompiledTask &CT = Tasks[static_cast<size_t>(TaskIdx)];
-      ExecArena::TaskExec &TE = A.Execs[static_cast<size_t>(TaskIdx)];
-      int64_t PendingStep = -1;
-
-      // Issue the prefetchable gathers of step S into back buffers as
-      // detached jobs; the rest wait for the synchronous path on arrival.
-      auto issuePrefetch = [&](size_t S) {
-        // Ticket-issue boundary: never launch new detached work for a
-        // cancelled execution (the throw keeps already-issued tickets
-        // quiescable through the normal containment path).
-        Opts.Cancel.check();
-        const std::vector<CompiledGather> &Gs = CT.StepGathers[S];
-        TE.PendingIssued.assign(Gs.size(), 0);
-        for (size_t Gi = 0; Gi < Gs.size(); ++Gi) {
-          int32_t Dep = CT.PrefetchDeps[S][Gi];
-          if (Dep == CompiledTask::NoPrefetch)
-            continue;
-          // View-elided gathers are not prefetched: there is no copy to
-          // hide, binding at arrival is free. And a front bound as a view
-          // must never flip (the promotion would clobber the alias), so a
-          // tensor viewed *this* step — or viewed by ANY aliasable gather
-          // of the arrival step, which replays in recorded order and may
-          // bind the front as a view before a later same-tensor flip —
-          // forces the fetch onto the synchronous arrival path.
-          // Instance::flip asserts the invariant.
-          if (ViewsOn) {
-            bool TensorViewed = TE.OwnedInsts[Gs[Gi].Tensor].isView();
-            for (size_t Other = 0; Other < Gs.size() && !TensorViewed;
-                 ++Other)
-              TensorViewed = Gs[Other].Class == GatherClass::Aliasable &&
-                             Gs[Other].Tensor == Gs[Gi].Tensor;
-            if (TensorViewed)
-              continue;
-          }
-          // One prefetch per tensor per step: a second gather of the same
-          // tensor (a tensor communicated at two step loops) would race
-          // on the single back buffer; it stays on the synchronous path,
-          // which also re-binds the front in the recorded order.
-          bool Dup = false;
-          for (size_t Prev = 0; Prev < Gi && !Dup; ++Prev)
-            Dup = TE.PendingIssued[Prev] && Gs[Prev].Tensor == Gs[Gi].Tensor;
-          if (Dup)
-            continue;
-          // A relay-fed block is only available once its source task has
-          // finished the previous step's gathers. Not yet there: skip the
-          // prefetch (never block the chain) and gather synchronously.
-          if (Dep >= 0 &&
-              A.Progress[static_cast<size_t>(Dep)].load(
-                  std::memory_order_acquire) < static_cast<int64_t>(S) - 1)
-            continue;
-          const CompiledGather &G = Gs[Gi];
-          Instance &B = TE.OwnedInsts[G.Tensor].back();
-          B.reset(G.R);
-          const Region *Src = Regions.at(G.Tensor);
-          const GatherRuns *Runs = &G.Runs; // Artifact-lifetime storage.
-          // The job captures the arena (counters, fault scope, back
-          // buffer), never the execute frame: containment quiesces these
-          // tickets after this frame is gone, and the arena outlives them.
-          TE.Pending.push_back(Pool->submitAsync([&A, &B, Runs, Src, CommLP,
-                                                  nsSince] {
-            FaultInjector::inject(FaultInjector::Site::Prefetch, &A.Fault);
-            Clock::time_point T0 = Clock::now();
-            Src->gatherCompiled(B, *Runs, CommLP);
-            A.PrefetchNs.fetch_add(nsSince(T0), std::memory_order_relaxed);
-          }));
-          TE.PendingIssued[Gi] = 1;
-        }
-        PendingStep = static_cast<int64_t>(S);
-      };
-
-      for (size_t S = 0; S < NumSteps; ++S) {
-        // Per-task step boundary: the pipelined order's cancellation point.
-        Opts.Cancel.check();
-        for (const auto &[V, C] : StepVals[S])
-          TE.FixedVals[V] = C;
-        const std::vector<CompiledGather> &Gs = CT.StepGathers[S];
-        if (PendingStep == static_cast<int64_t>(S)) {
-          Clock::time_point W0 = Clock::now();
-          for (ThreadPool::Ticket &T : TE.Pending)
-            T.wait();
-          TE.Pending.clear();
-          A.WaitNs.fetch_add(nsSince(W0), std::memory_order_relaxed);
-          for (size_t Gi = 0; Gi < Gs.size(); ++Gi) {
-            if (TE.PendingIssued[Gi]) {
-              Instance &Inst = TE.OwnedInsts[Gs[Gi].Tensor];
-              Inst.flip();
-              TE.Insts[Gs[Gi].Tensor] = &Inst;
-            } else {
-              syncGather(TE, Gs[Gi], &A.SyncNs);
-            }
-          }
-        } else {
-          for (const CompiledGather &G : Gs)
-            syncGather(TE, G, &A.SyncNs);
-        }
-        // Publish: this task's step-S data is materialised. Relay-
-        // dependent prefetches of neighbouring chains gate on this.
-        A.Progress[static_cast<size_t>(TaskIdx)].store(
-            static_cast<int32_t>(S), std::memory_order_release);
-        if (S + 1 < NumSteps)
-          issuePrefetch(S + 1);
-        if (CT.RunLeaf[S]) {
-          FaultInjector::inject(FaultInjector::Site::Leaf, &A.Fault);
-          leaf::runCompiledLeaf(TE.Leaf, P, TE.FixedVals, TE.Insts, RhsTape,
-                                LeafLP, OverwriteLeaves && CT.SkipOutputZero);
-        }
-      }
-    });
-  }
+  // Tasks fan out once; each runs its whole chain. Zero-copy views only
+  // for the compiled strategy: the interpreted path is the seed reference
+  // and always copies.
+  TaskWalk W{Regions, Opts.Cancel, &A.Fault, Layout.LeafLP,
+             Opts.ZeroCopyViews && Strategy == LeafStrategy::Compiled};
+  if (Layout.Pool && Layout.TaskWays > 1)
+    Layout.Pool->parallelForWays(
+        NumTasks, Layout.TaskWays,
+        [&](int64_t Lo, int64_t Hi) {
+          for (int64_t I = Lo; I < Hi; ++I)
+            runTask(A, static_cast<size_t>(I), W);
+        },
+        Tok);
+  else
+    for (size_t I = 0; I < Tasks.size(); ++I)
+      runTask(A, I, W);
 
   // Writeback / reduction of every task's output instance to its owners.
   // A viewed accumulator already wrote the home region in place — its
@@ -696,14 +425,14 @@ Trace CompiledPlan::executeBody(ExecArena &A, const ExecutionSlot &Slot,
   // guarantees no other task contributes to those elements, so there is
   // no merge order to preserve).
   Region *OutR = Regions.at(Out);
-  A.HbPhase.store(3, std::memory_order_relaxed);
+  A.HbPhase.store(2, std::memory_order_relaxed);
   Opts.Cancel.check();
   if (Strategy != LeafStrategy::Compiled) {
     for (ExecArena::TaskExec &TE : A.Execs) {
       FaultInjector::inject(FaultInjector::Site::Writeback, &A.Fault);
       OutR->reduceBackPointwise(TE.OwnedInsts.at(Out));
     }
-  } else if (!Pool || Out.order() == 0) {
+  } else if (!Layout.Pool || Out.order() == 0) {
     for (ExecArena::TaskExec &TE : A.Execs) {
       const Instance &OutInst = TE.OwnedInsts.at(Out);
       if (!OutInst.isView()) {
@@ -716,7 +445,7 @@ Trace CompiledPlan::executeBody(ExecArena &A, const ExecutionSlot &Slot,
     // still accumulates the tasks in task order, so the result is
     // bitwise-identical to the sequential merge.
     Coord Rows = OutR->shape()[0];
-    Pool->parallelForChunks(
+    Layout.Pool->parallelForChunks(
         Rows,
         [&](int64_t RowLo, int64_t RowHi) {
           FaultInjector::inject(FaultInjector::Site::Writeback, &A.Fault);

@@ -1,29 +1,28 @@
 //===- runtime/CompiledProgram.cpp ----------------------------*- C++ -*-===//
 //
-// Whole-program execution: one dependency graph over statement tasks. The
-// node bodies replay exactly the per-task walk CompiledPlan::executeBody
-// runs (launch gathers, the full step loop, the deterministic writeback
-// merge), with two program-level overrides decided at link time: a tier-A
-// consumer gather binds the producer's region bytes as a zero-copy view
-// instead of copying them, and a tier-B producer task binds the output
-// region in place so its writeback merge vanishes. Both overrides are
-// byte-transparent: Region storage is one dense row-major array whatever
-// the distribution, a viewed rectangle reads the same bytes a copy would
-// have snapshotted (the graph orders the read after the bytes are final),
-// and an exclusive in-place writer over a pre-zeroed region produces the
-// bytes the merge would have produced. With views off, execution uses the
-// conservative barrier graph (every cross-statement edge through the
-// producer's writeback node) and no overrides — the differential
-// reference path.
+// Whole-program execution: one dependency graph over statement tasks. A
+// task node runs the member's own per-task walker (CompiledPlan::runTask:
+// launch gathers, then the full step loop), and the writeback node the
+// deterministic merge, with two program-level overrides decided at link
+// time: a tier-A consumer gather binds the producer's region bytes as a
+// zero-copy view instead of copying them, and a tier-B producer task binds
+// the output region in place so its writeback merge vanishes. Both
+// overrides are byte-transparent: Region storage is one dense row-major
+// array whatever the distribution, a viewed rectangle reads the same bytes
+// a copy would have snapshotted (the graph orders the read after the bytes
+// are final), and an exclusive in-place writer over a pre-zeroed region
+// produces the bytes the merge would have produced. With views off,
+// execution uses the conservative barrier graph (every cross-statement
+// edge through the producer's writeback node) and no overrides — the
+// differential reference path.
 //
-// Scheduling: a mutex/condvar ready queue drained by Split.TaskWays
+// Scheduling: a mutex/condvar ready queue drained by TaskWays
 // workers running as one structured parallelFor on the execution
 // context's pool. Dependencies only point to earlier statements' nodes
 // (or a task's own zero node), so the graph is acyclic by construction
 // and plain program order is a valid topological order — the 1-thread
 // path just walks nodes sequentially. The program walk issues no
-// detached jobs (overlap comes from the DAG, not from per-statement
-// prefetch), so failure containment has nothing in flight to quiesce.
+// detached jobs, so failure containment has nothing in flight to wait for.
 //
 //===----------------------------------------------------------------------===//
 
@@ -306,29 +305,15 @@ Status CompiledProgram::tryExecute(const std::map<TensorVar, Region *> &Regions,
   } catch (...) {
     Unregister();
     Status S = statusFromCurrentException();
-    // Containment, mirroring CompiledPlan::tryExecute. The program walk
-    // issues no detached jobs, but member arenas are quiesced anyway in
-    // case a future execution order adds them.
-    bool Clean = true;
-    for (std::unique_ptr<ExecArena> &A : PA->Arenas)
-      if (A)
-        Clean &= A->quiescePending();
-    if (Clean) {
-      {
-        std::lock_guard<std::mutex> Lock(StateMutex);
-        ++Arenas.Discarded;
-      }
-      PA.reset();
-      S.appendNote("failed program execution's arena discarded; the "
-                   "program artifact remains reusable");
-    } else {
+    // Containment, mirroring CompiledPlan::tryExecute: nothing references
+    // the arena once the walk has unwound, so it is discarded.
+    {
       std::lock_guard<std::mutex> Lock(StateMutex);
-      ++Arenas.Condemned;
-      CondemnedArenas.push_back(std::move(PA));
-      S.appendNote("in-flight work could not be quiesced; the failed "
-                   "program arena is quarantined, the artifact remains "
-                   "reusable");
+      ++Arenas.Discarded;
     }
+    PA.reset();
+    S.appendNote("failed program execution's arena discarded; the "
+                 "program artifact remains reusable");
     return S;
   }
 }
@@ -382,42 +367,11 @@ void CompiledProgram::runBody(ProgramArena &PA, const ExecutionSlot &Slot,
     Members[I]->ensureExecState(*PA.Arenas[I]);
   }
 
-  // Thread resolution, identical to CompiledPlan::executeBody: configured
-  // width divided by the execution census, arena-owned context when the
-  // caller's does not match the budget, fully inline at one thread.
-  int Configured = Opts.Ctx              ? Opts.Ctx->numThreads()
-                   : Opts.NumThreads > 0 ? Opts.NumThreads
-                                         : defaultExecutorThreads();
-  int Threads = Slot.budget(Configured);
-  ExecContext *Ctx = nullptr;
-  if (Threads > 1) {
-    if (Opts.Ctx && Opts.Ctx->numThreads() == Threads) {
-      Ctx = Opts.Ctx;
-    } else {
-      if (!PA.OwnCtx || PA.OwnCtx->numThreads() != Threads)
-        PA.OwnCtx = std::make_unique<ExecContext>(Threads);
-      Ctx = PA.OwnCtx.get();
-    }
-  }
-  std::optional<ThreadPool::InlineScope> InlineGuard;
-  if (Threads == 1)
-    InlineGuard.emplace();
-
   int64_t TotalTasks =
       static_cast<int64_t>(NumNodes) - 2 * static_cast<int64_t>(Members.size());
-  ExecContext::Split Split;
-  ThreadPool *Pool = nullptr;
-  LeafParallelism LeafLP;
-  if (Ctx && Threads > 1) {
-    ExecContext::Lanes Lanes = Ctx->lanesFor(TotalTasks);
-    Split = Opts.ForceTaskWays > 0
-                ? ExecContext::Split{Opts.ForceTaskWays, Opts.ForceLeafWays}
-                : Lanes.Compute;
-    if (Split.TaskWays > 1 || Split.LeafWays > 1)
-      Pool = Ctx->pool();
-    if (Pool && Split.LeafWays > 1)
-      LeafLP = {Pool, Split.LeafWays};
-  }
+  std::optional<ThreadPool::InlineScope> Inline;
+  CompiledPlan::ThreadLayout Layout = CompiledPlan::resolveThreads(
+      Opts, Slot, TotalTasks, PA.OwnCtx, Inline);
 
   // Program-level overrides require every member on the compiled-leaf
   // strategy (the interpreted path is the copy-everything seed reference).
@@ -427,15 +381,16 @@ void CompiledProgram::runBody(ProgramArena &PA, const ExecutionSlot &Slot,
   bool AllCompiled = true;
   for (const std::shared_ptr<CompiledPlan> &M : Members)
     AllCompiled &= M->strategy() == LeafStrategy::Compiled;
-  bool ViewsOn = Opts.ZeroCopyViews && AllCompiled;
-  const Graph &G = ViewsOn ? Linked : Barrier;
+  CompiledPlan::TaskWalk W{Regions, Opts.Cancel, &PA.Fault, Layout.LeafLP,
+                           Opts.ZeroCopyViews && AllCompiled};
+  const Graph &G = W.ViewsOn ? Linked : Barrier;
 
-  if (!Pool || Split.TaskWays <= 1) {
+  if (!Layout.Pool || Layout.TaskWays <= 1) {
     // Sequential: program order is a valid topological order because every
     // dependency points to an earlier statement's nodes (or the task's own
     // zero node).
     for (int32_t Node = 0; Node < NumNodes; ++Node) {
-      runNode(PA, Node, Regions, Opts, ViewsOn, LeafLP);
+      runNode(PA, Node, W);
       PA.HbDone.fetch_add(1, std::memory_order_relaxed);
     }
     return;
@@ -468,7 +423,7 @@ void CompiledProgram::runBody(ProgramArena &PA, const ExecutionSlot &Slot,
         Ready.pop_back();
       }
       try {
-        runNode(PA, Node, Regions, Opts, ViewsOn, LeafLP);
+        runNode(PA, Node, W);
       } catch (...) {
         std::lock_guard<std::mutex> L(Mu);
         if (!Error)
@@ -488,21 +443,19 @@ void CompiledProgram::runBody(ProgramArena &PA, const ExecutionSlot &Slot,
       }
     }
   };
-  int64_t W = std::min<int64_t>(Split.TaskWays, NumNodes);
+  int64_t Workers = std::min<int64_t>(Layout.TaskWays, NumNodes);
   const CancelToken *Tok = Opts.Cancel.valid() ? &Opts.Cancel : nullptr;
-  Pool->parallelFor(W, [&](int64_t) { worker(); }, Tok);
+  Layout.Pool->parallelFor(Workers, [&](int64_t) { worker(); }, Tok);
   if (Error)
     std::rethrow_exception(Error);
 }
 
 void CompiledProgram::runNode(ProgramArena &PA, int32_t Node,
-                              const std::map<TensorVar, Region *> &Regions,
-                              const ExecOptions &Opts, bool ViewsOn,
-                              const LeafParallelism &LeafLP) {
-  // Node boundaries are the program walk's cancellation points: a tripped
-  // token stops the graph walk here (between statements' nodes) and the
-  // throw flows through the existing containment path.
-  Opts.Cancel.check();
+                              const CompiledPlan::TaskWalk &W) {
+  // Node boundaries are the program walk's cancellation points (task nodes
+  // re-check at every step): a tripped token stops the graph walk here and
+  // the throw flows through the existing containment path.
+  W.Cancel.check();
   // Decode: statements own contiguous node ranges in program order.
   size_t I = static_cast<size_t>(
       std::upper_bound(NodeBase.begin(), NodeBase.end(), Node) -
@@ -512,10 +465,9 @@ void CompiledProgram::runNode(ProgramArena &PA, int32_t Node,
   const TensorVar &Out = CP.P.Nest.Stmt.lhs().tensor();
   int32_t Local = Node - NodeBase[I];
   int32_t NumTasks = static_cast<int32_t>(CP.Tasks.size());
-  bool Compiled = CP.Strategy == LeafStrategy::Compiled;
 
   if (Local == 0) { // Zero node: region-wide zero of the statement output.
-    Regions.at(Out)->zero();
+    W.Regions.at(Out)->zero();
     return;
   }
 
@@ -524,78 +476,23 @@ void CompiledProgram::runNode(ProgramArena &PA, int32_t Node,
     // parallel merge of the per-statement path (which preserves task order
     // within every stripe). In-place writers (per-statement alias or
     // tier-B link) are views and skip the merge.
-    Region *OutR = Regions.at(Out);
+    Region *OutR = W.Regions.at(Out);
+    bool Compiled = CP.Strategy == LeafStrategy::Compiled;
     for (ExecArena::TaskExec &TE : A.Execs) {
       const Instance &OutInst = TE.OwnedInsts.at(Out);
       if (!Compiled) {
-        FaultInjector::inject(FaultInjector::Site::Writeback, &PA.Fault);
+        FaultInjector::inject(FaultInjector::Site::Writeback, W.Fault);
         OutR->reduceBackPointwise(OutInst);
       } else if (!OutInst.isView()) {
-        FaultInjector::inject(FaultInjector::Site::Writeback, &PA.Fault);
+        FaultInjector::inject(FaultInjector::Site::Writeback, W.Fault);
         OutR->reduceBack(OutInst);
       }
     }
     return;
   }
 
-  // Task node: launch gathers plus the full step loop — the same walk the
-  // per-statement bulk-synchronous path runs per task, with the link
-  // overrides applied on top of the per-statement classification.
+  // Task node: the member's own per-task walk, with the link overrides
+  // applied on top of the per-statement classification.
   size_t TaskIdx = static_cast<size_t>(Local - 1);
-  const CompiledTask &CT = CP.Tasks[TaskIdx];
-  ExecArena::TaskExec &TE = A.Execs[TaskIdx];
-  const ProgramTaskLinks &TL = Link.Stmts[I].Tasks[TaskIdx];
-
-  auto bindInput = [&](const CompiledGather &Gather, bool LinkElided) {
-    FaultInjector::inject(FaultInjector::Site::Gather, &PA.Fault);
-    Instance &Inst = TE.OwnedInsts[Gather.Tensor];
-    if (ViewsOn &&
-        (Gather.Class == GatherClass::Aliasable || LinkElided)) {
-      Regions.at(Gather.Tensor)->bindView(Inst, Gather.R);
-      TE.Insts[Gather.Tensor] = &Inst;
-      return;
-    }
-    Inst.reset(Gather.R);
-    if (Compiled)
-      Regions.at(Gather.Tensor)->gatherCompiled(Inst, Gather.Runs, LeafLP);
-    else
-      Regions.at(Gather.Tensor)->gatherIntoPointwise(Inst);
-    TE.Insts[Gather.Tensor] = &Inst;
-  };
-
-  for (size_t Gi = 0; Gi < CT.LaunchGathers.size(); ++Gi) {
-    const CompiledGather &Gather = CT.LaunchGathers[Gi];
-    if (!Gather.IsOutput) {
-      bindInput(Gather, TL.LaunchView[Gi] != 0);
-      continue;
-    }
-    Instance &Inst = TE.OwnedInsts[Gather.Tensor];
-    if (ViewsOn &&
-        (Gather.Class == GatherClass::Aliasable || TL.OutView != 0)) {
-      // In-place accumulator: the zero node already cleared the region.
-      Regions.at(Gather.Tensor)->bindView(Inst, Gather.R);
-    } else {
-      Inst.reset(Gather.R);
-      if (!(Compiled && CT.SkipOutputZero))
-        Inst.zero();
-    }
-    TE.Insts[Gather.Tensor] = &Inst;
-  }
-
-  for (size_t S = 0; S < CP.StepVals.size(); ++S) {
-    for (const auto &[V, C] : CP.StepVals[S])
-      TE.FixedVals[V] = C;
-    const std::vector<CompiledGather> &Gs = CT.StepGathers[S];
-    for (size_t Gi = 0; Gi < Gs.size(); ++Gi)
-      bindInput(Gs[Gi], TL.StepView[S][Gi] != 0);
-    if (CT.RunLeaf[S]) {
-      FaultInjector::inject(FaultInjector::Site::Leaf, &PA.Fault);
-      if (Compiled)
-        leaf::runCompiledLeaf(TE.Leaf, CP.P, TE.FixedVals, TE.Insts,
-                              CP.RhsTape, LeafLP,
-                              Compiled && CT.SkipOutputZero);
-      else
-        leaf::runInterpretedLeaf(CP.P, TE.FixedVals, TE.Insts);
-    }
-  }
+  CP.runTask(A, TaskIdx, W, &Link.Stmts[I].Tasks[TaskIdx]);
 }

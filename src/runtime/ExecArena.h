@@ -5,21 +5,18 @@
 /// the artifact so the artifact itself is immutable after compilation and
 /// therefore reentrant: any number of executions can walk one compiled
 /// program concurrently, each in its own arena. An arena holds the
-/// per-task instance buffers (fronts, backs, zero-copy views), the leaf
-/// engines, the in-flight prefetch tickets, the pipeline progress slots,
-/// the overlap counters, the fault-injection execution scope, and the
-/// owned execution context — everything the execute walk mutates.
+/// per-task instance buffers (owned copies or zero-copy views), the leaf
+/// engines, the fault-injection execution scope, the heartbeat counters,
+/// and the owned execution context — everything the execute walk mutates.
 ///
 /// Arenas are pooled and reused by the artifact (bounded by a configurable
 /// cache), so the steady state allocates nothing: acquiring a cached arena
 /// hands back instance buffers already sized at their compile-time maxima
 /// and leaf engines whose affine structure is already derived. A failed
-/// execution discards its arena instead of returning it (the PR-6
-/// containment contract, now per-arena): the artifact is untouched and
-/// immediately reusable, and only if the failed arena's in-flight prefetch
-/// work cannot be quiesced is the arena quarantined alive for the
-/// artifact's lifetime (detached jobs may still reference its buffers) —
-/// still without poisoning the artifact.
+/// execution discards its arena instead of returning it (the per-arena
+/// containment contract): the walk issues no detached work, so nothing
+/// references the arena once the failing fan-out has unwound, and the
+/// artifact is untouched and immediately reusable.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,45 +33,21 @@
 #include "support/ExecContext.h"
 #include "support/FaultInjector.h"
 #include "support/ResourceGovernor.h"
-#include "support/ThreadPool.h"
 
 namespace distal {
 
 struct ExecArena {
   /// Reusable per-task execution state: instance buffers sized at compile
   /// time (max rectangle volume over all phases) and the leaf engine whose
-  /// affine structure persists across steps and executions. Pending holds
-  /// the in-flight prefetch tickets of the task's chain; PendingIssued
-  /// marks which gathers of the pending step were issued asynchronously
-  /// (the rest are gathered synchronously on arrival). Pending is declared
-  /// after OwnedInsts so its destruction (which waits out any straggler
-  /// job) runs while the instance buffers those jobs write are still
-  /// alive.
+  /// affine structure persists across steps and executions.
   struct TaskExec {
     std::map<IndexVar, Coord> FixedVals;
     std::map<TensorVar, Instance> OwnedInsts;
     std::map<TensorVar, Instance *> Insts;
     leaf::LeafEngine Leaf;
-    std::vector<ThreadPool::Ticket> Pending;
-    std::vector<uint8_t> PendingIssued;
   };
 
   std::vector<TaskExec> Execs; ///< Lazily built on first use, then reused.
-  /// Back buffers and Progress reserved for prefetch. Atomic (set with a
-  /// release store after Progress is allocated) so stuckReport() can
-  /// acquire-load it and safely read the Progress array of an arena whose
-  /// pipeline state is being built concurrently.
-  std::atomic<bool> PipeReady{false};
-  /// Per-task step progress (highest step whose gathers completed),
-  /// published by each chain and read by relay-dependent prefetch issues
-  /// within this arena's execution.
-  std::unique_ptr<std::atomic<int32_t>[]> Progress;
-  /// Per-execution overlap accumulators. Arena members rather than
-  /// execute-frame locals so a detached prefetch job can never reference a
-  /// stack frame a failure has unwound — the containment quiesce runs
-  /// after the execute frame is gone, and these stay alive as long as the
-  /// arena does.
-  std::atomic<int64_t> PrefetchNs{0}, SyncNs{0}, WaitNs{0};
   /// The fault injector's per-execution arrival counters (site keying per
   /// arena): a fault schedule inside this execution is independent of
   /// sibling arenas' arrivals.
@@ -82,27 +55,19 @@ struct ExecArena {
   /// Progress heartbeat of the execution currently running in this arena,
   /// published with relaxed stores on the execute walk and read by
   /// CompiledPlan::stuckReport() to show where a hung execution is parked.
-  /// HbPhase: 0 idle, 1 launch gathers, 2 step loop, 3 writeback.
-  /// HbStep: last fully completed step of the bulk-synchronous order; -2
-  /// marks a pipelined execution (per-task progress lives in Progress).
-  /// HbStartNs: steady-clock ns when the execution entered the body.
+  /// HbPhase: 0 idle, 1 task walk, 2 writeback. StepsDone: task-steps
+  /// finished so far, summed over all tasks (of tasks x steps). HbStartNs:
+  /// steady-clock ns when the execution entered the body.
   std::atomic<int32_t> HbPhase{0};
-  std::atomic<int32_t> HbStep{-1};
+  std::atomic<int64_t> StepsDone{0};
   std::atomic<int64_t> HbStartNs{0};
   /// Context owned when the caller supplies none; rebuilt only when the
   /// budgeted thread count changes between this arena's executions.
   std::unique_ptr<ExecContext> OwnCtx;
-  /// Governor ledger for this arena's instance and back buffers, charged
-  /// when ensureExecState/ensurePipelineState size them and released when
-  /// the arena dies — so pooled-arena memory shows up in usedBytes().
+  /// Governor ledger for this arena's instance buffers, charged when
+  /// ensureExecState sizes them and released when the arena dies — so
+  /// pooled-arena memory shows up in usedBytes().
   ResourceGovernor::Charge MemCharge;
-
-  /// Containment step of a failed execution: waits out every in-flight
-  /// prefetch ticket, consuming their exceptions (the primary error is
-  /// already in flight). Returns false if the quiesce itself threw — the
-  /// arena must then be quarantined, not destroyed, because detached jobs
-  /// may still reference its buffers.
-  bool quiescePending();
 };
 
 } // namespace distal

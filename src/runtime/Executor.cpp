@@ -47,7 +47,6 @@ Status Executor::tryRun(const std::map<TensorVar, Region *> &Regions,
   Opts.ForceTaskWays = ForceTaskWays;
   Opts.ForceLeafWays = ForceLeafWays;
   Opts.Mode = Mode;
-  Opts.Pipe = Pipe;
   Opts.ZeroCopyViews = ZeroCopyViews;
   Opts.Cancel = Cancel;
 
@@ -68,19 +67,11 @@ Status Executor::tryRun(const std::map<TensorVar, Region *> &Regions,
     return First;
 
   // The degradation ladder: each rung removes one optimization that
-  // narrows the machinery a fault can hide in — first the prefetch
-  // communication lane, then the zero-copy alias bindings, finally the
-  // compiled leaf tapes. Every rung produces bitwise-identical output, so
-  // a success anywhere on the ladder is a full-fidelity result. compiled()
-  // is re-fetched per rung: a rung that poisons the artifact gets a fresh
-  // compile for the next one.
-  if (Opts.Pipe != Pipeline::Off) {
-    Opts.Pipe = Pipeline::Off;
-    Status S = compiled().tryExecute(Regions, Out, Opts);
-    Trail.push_back({"pipeline-off", S});
-    if (S.ok() || NeverRetry(S))
-      return S;
-  }
+  // narrows the machinery a fault can hide in — first the zero-copy alias
+  // bindings, then the compiled leaf tapes. Every rung produces
+  // bitwise-identical output, so a success anywhere on the ladder is a
+  // full-fidelity result. compiled() is re-fetched per rung: a rung that
+  // poisons the artifact gets a fresh compile for the next one.
   if (Opts.ZeroCopyViews) {
     Opts.ZeroCopyViews = false;
     Status S = compiled().tryExecute(Regions, Out, Opts);
@@ -122,7 +113,6 @@ ExecFuture Executor::submit(const std::map<TensorVar, Region *> &Regions,
   Opts.ForceTaskWays = ForceTaskWays;
   Opts.ForceLeafWays = ForceLeafWays;
   Opts.Mode = Mode;
-  Opts.Pipe = Pipe;
   Opts.ZeroCopyViews = ZeroCopyViews;
   Opts.Cancel = Cancel;
   return compiled().submit(Regions, Opts);

@@ -89,13 +89,6 @@ public:
   /// artifact bakes the leaf tapes and gather routing).
   void setLeafStrategy(LeafStrategy S) { Strategy = S; }
 
-  /// Selects the execution order: Pipeline::DoubleBuffer (the default)
-  /// overlaps the next step's gathers with the current step's leaf via
-  /// double-buffered prefetch; Pipeline::Off runs bulk-synchronously.
-  /// Output data is bitwise-identical either way; no recompile needed
-  /// (pipelining is an execute-time knob, like threads).
-  void setPipeline(Pipeline P) { Pipe = P; }
-
   /// Zero-copy alias views (on by default for the compiled strategy):
   /// gathers the compile phase proved home-resident bind leaves directly
   /// to Region storage, and an aliased output accumulator elides its
@@ -137,11 +130,11 @@ public:
 
   /// Non-throwing run with graceful degradation. On a contained execution
   /// failure, retries with progressively safer configurations —
-  /// (1) as configured, (2) Pipeline::Off, (3) additionally zero-copy
-  /// views off, (4) interpreted leaves on a temporary artifact (the
-  /// compiled artifact is not clobbered) — and returns OK from the first
-  /// rung that succeeds. InvalidArgument failures are not retried (bad
-  /// input fails identically on every rung), and neither are Cancelled or
+  /// (1) as configured, (2) zero-copy views off, (3) additionally
+  /// interpreted leaves on a temporary artifact (the compiled artifact is
+  /// not clobbered) — and returns OK from the first rung that succeeds.
+  /// InvalidArgument failures are not retried (bad input fails
+  /// identically on every rung), and neither are Cancelled or
   /// DeadlineExceeded (a retry would override the caller's explicit stop;
   /// see setCancelToken). If every rung fails, returns the *original*
   /// Status with the full degradation trail rendered into one note (also
@@ -179,8 +172,8 @@ public:
   }
 
   /// Snapshot of the process-wide governor counters: budget, accounted and
-  /// peak bytes, and how often each pressure response fired (degraded
-  /// admissions, shed requests, cache shrinks, arena-cache bypasses).
+  /// peak bytes, and how often each pressure response fired (shed
+  /// requests, cache shrinks, arena-cache bypasses).
   static ResourceGovernor::Stats governorStats() {
     return ResourceGovernor::stats();
   }
@@ -208,7 +201,6 @@ private:
   int NumThreads = 0;
   int ForceTaskWays = 0, ForceLeafWays = 0;
   LeafStrategy Strategy = LeafStrategy::Compiled;
-  Pipeline Pipe = Pipeline::DoubleBuffer;
   bool ZeroCopyViews = true;
   CancelToken Cancel;
   ExecContext *ExternalCtx = nullptr;

@@ -86,20 +86,6 @@ public:
   /// own (the executor zeroes the region once instead).
   void zero();
 
-  /// Double-buffer mode for pipelined prefetch. back() is a second,
-  /// independently bound buffer: the executor gathers the *next* step's
-  /// rectangle into it while leaf kernels read this (front) buffer, then
-  /// flip() promotes it. Created on first use; reserve it up front
-  /// (back().reserve(...)) so steady-state prefetch never allocates.
-  Instance &back();
-  /// Swaps the front and back storage (bounds, strides, and data). The
-  /// Instance object's address is unchanged, so leaf-engine bindings made
-  /// through pointers to this instance stay valid — they simply see the
-  /// newly promoted rectangle on the next bind. A viewed instance never
-  /// flips (asserted): views alias region storage and have nothing to
-  /// promote, so the prefetcher must never have issued against one.
-  void flip();
-
 private:
   Rect Bounds;
   std::vector<Coord> Strides;
@@ -108,7 +94,6 @@ private:
   int64_t BaseOff = 0;
   std::vector<double> Data;
   double *View = nullptr;
-  std::unique_ptr<Instance> Back;
 };
 
 /// A compile-time coalesced copy program for one rectangle of a region: the

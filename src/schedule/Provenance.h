@@ -75,14 +75,6 @@ public:
   Interval recoverInterval(const IndexVar &V,
                            const std::map<IndexVar, Interval> &Known) const;
 
-  /// True when \p V is the result variable of a rotate relation: the loop
-  /// it drives iterates a systolically shifted view of its target, so
-  /// communication bound to it moves each data block between neighbouring
-  /// processors on consecutive steps (the relay pattern). The pipelined
-  /// executor uses this to tell which step communications may need
-  /// cross-task dependencies before their gathers can be prefetched.
-  bool isRotationResult(const IndexVar &V) const;
-
   /// Textual rendering of all relations (for concrete index notation
   /// printing and golden tests).
   std::string str() const;

@@ -4,13 +4,13 @@
 /// A CancelToken is the engine's cooperative cancellation and deadline
 /// primitive: a copyable handle over a shared atomic flag plus an optional
 /// absolute steady-clock deadline. The caller stores one in
-/// ExecOptions::Cancel; the execution paths (CompiledPlan step boundaries,
-/// CompiledProgram node boundaries, prefetch-ticket issue, and
-/// ThreadPool::parallelFor chunk claims) poll it with check(), which throws
-/// DistalError(Cancelled) or DistalError(DeadlineExceeded) once the token
-/// trips. The throw unwinds through the existing per-arena containment path
-/// (quiesce, discard/condemn), so a cancelled execution leaves the artifact
-/// reusable exactly like any other contained failure.
+/// ExecOptions::Cancel; the execution paths (every task's step boundaries,
+/// CompiledProgram node boundaries, and ThreadPool::parallelFor chunk
+/// claims) poll it with check(), which throws DistalError(Cancelled) or
+/// DistalError(DeadlineExceeded) once the token trips. The throw unwinds
+/// through the existing per-arena containment path (the arena is
+/// discarded), so a cancelled execution leaves the artifact reusable
+/// exactly like any other contained failure.
 ///
 /// Cost discipline mirrors the fault injector: a default-constructed
 /// (invalid) token costs a null-pointer test per check, and a valid but

@@ -70,15 +70,3 @@ ExecContext::Split ExecContext::splitFor(int64_t NumTasks) const {
   S.LeafWays = NumThreads / S.TaskWays;
   return S;
 }
-
-ExecContext::Lanes ExecContext::lanesFor(int64_t NumTasks) const {
-  Lanes L;
-  L.Compute = splitFor(NumTasks);
-  // A quarter of the pool (at least one thread) is a sensible ceiling for
-  // any single prefetch: gathers are bandwidth-bound well before they can
-  // use the whole pool, and the compute lane keeps claiming chunks in the
-  // meantime. Per-job fan-out below the copy cutoff stays sequential
-  // regardless (Region::gatherInto decides).
-  L.CommWays = NumThreads <= 1 ? 1 : std::max(1, NumThreads / 4);
-  return L;
-}

@@ -109,20 +109,6 @@ public:
   /// Executor::setThreadSplit pins the division instead of this policy.
   Split splitFor(int64_t NumTasks) const;
 
-  /// The pipelined executor's division of the pool into a *compute lane*
-  /// (task chains + nested leaf fan-out, the Split) and a *communication
-  /// lane* (the ways budget each asynchronous prefetch gather may fan out
-  /// to). Both lanes run on the one pool — comm jobs are queued with
-  /// priority and claimed by whichever workers are idle — so the lanes
-  /// share numThreads() threads and never oversubscribe; CommWays only
-  /// bounds how wide a single prefetch may go so one giant gather cannot
-  /// monopolize the workers the compute lane is about to need.
-  struct Lanes {
-    Split Compute;
-    int CommWays = 1;
-  };
-  Lanes lanesFor(int64_t NumTasks) const;
-
 private:
   int NumThreads;
   ThreadPool *Resolved = nullptr;

@@ -28,7 +28,6 @@ struct GovernorState {
   std::atomic<int64_t> HardBytes{0};
   std::atomic<int64_t> Used{0};
   std::atomic<int64_t> Peak{0};
-  std::atomic<int64_t> Degraded{0};
   std::atomic<int64_t> Shed{0};
   std::atomic<int64_t> CacheShrinks{0};
   std::atomic<int64_t> ArenaBypasses{0};
@@ -150,7 +149,6 @@ void ResourceGovernor::configure(const Config &C) {
   // event counters and the peak watermark restart with the configuration.
   S.Peak.store(S.Used.load(std::memory_order_relaxed),
                std::memory_order_relaxed);
-  S.Degraded.store(0, std::memory_order_relaxed);
   S.Shed.store(0, std::memory_order_relaxed);
   S.CacheShrinks.store(0, std::memory_order_relaxed);
   S.ArenaBypasses.store(0, std::memory_order_relaxed);
@@ -210,15 +208,10 @@ ResourceGovernor::Stats ResourceGovernor::stats() {
   St.BudgetBytes = S.Budget.load(std::memory_order_relaxed);
   St.UsedBytes = S.Used.load(std::memory_order_relaxed);
   St.PeakUsedBytes = S.Peak.load(std::memory_order_relaxed);
-  St.DegradedAdmissions = S.Degraded.load(std::memory_order_relaxed);
   St.ShedRequests = S.Shed.load(std::memory_order_relaxed);
   St.CacheShrinks = S.CacheShrinks.load(std::memory_order_relaxed);
   St.ArenaCacheBypasses = S.ArenaBypasses.load(std::memory_order_relaxed);
   return St;
-}
-
-void ResourceGovernor::noteDegradedAdmission() {
-  state().Degraded.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ResourceGovernor::noteShed() {

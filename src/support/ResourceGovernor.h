@@ -2,17 +2,15 @@
 ///
 /// \file
 /// The process-wide memory governor: every significant allocation the
-/// engine makes — Region backing storage, ExecArena instance and back
-/// buffers, PlanCache artifacts — is charged against one configurable byte
+/// engine makes — Region backing storage, ExecArena instance buffers,
+/// PlanCache artifacts — is charged against one configurable byte
 /// budget, and the runtime reads the resulting *pressure* to degrade
 /// gracefully instead of dying in std::bad_alloc under overload:
 ///
-///  * Pressure::Soft (usage above the soft watermark): new admissions run
-///    with Pipeline::Off (no back buffers — roughly half the per-execution
-///    footprint; output bytes are bitwise-identical by the Pipeline
-///    contract), arena pools stop caching idle arenas, and the PlanCache
-///    LRUs shrink to small floors. Every degraded admission is recorded in
-///    the execution's Status note and in stats().
+///  * Pressure::Soft (usage above the soft watermark): arena pools stop
+///    caching idle arenas (each execution's buffers free as it completes)
+///    and the PlanCache LRUs shrink to small floors. Both responses are
+///    counted in stats(); output bytes are unaffected.
 ///  * Pressure::Hard (usage above the hard watermark): the AdmissionQueue
 ///    rejects new submissions with ResourceExhausted carrying a
 ///    machine-readable retry-after hint (see retryAfterNote), and sheds
@@ -58,7 +56,7 @@ class ResourceGovernor {
 public:
   /// Where current usage sits relative to the watermarks. None when
   /// disarmed or under the soft watermark; Soft triggers degradation
-  /// (pipelining off, caches to floors); Hard additionally sheds load.
+  /// (arena caching off, caches to floors); Hard additionally sheds load.
   enum class Pressure { None, Soft, Hard };
 
   /// The governor's configuration. BudgetBytes <= 0 disarms; the
@@ -121,9 +119,6 @@ public:
     int64_t BudgetBytes = 0;   ///< Armed budget (0 when disarmed).
     int64_t UsedBytes = 0;     ///< Currently accounted usage.
     int64_t PeakUsedBytes = 0; ///< High-water mark since configure().
-    /// Admissions forced to Pipeline::Off by soft pressure (each also
-    /// carries a Status note).
-    int64_t DegradedAdmissions = 0;
     /// Requests shed or rejected with ResourceExhausted by hard pressure
     /// (the process-wide sum of the per-queue Stats::Shed counters).
     int64_t ShedRequests = 0;
@@ -137,8 +132,6 @@ public:
   /// Snapshot of the counters above. Thread-safe (relaxed reads).
   static Stats stats();
 
-  /// Records one soft-pressure degraded admission (AdmissionQueue).
-  static void noteDegradedAdmission();
   /// Records one hard-pressure shed/rejected request (AdmissionQueue).
   static void noteShed();
   /// Records one pressure-floor cache eviction (PlanCache).

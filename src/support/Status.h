@@ -38,7 +38,7 @@ enum class ErrorCode : uint8_t {
   /// schedules, missing regions, undefined computations.
   InvalidArgument,
   /// The operation is valid but the object cannot serve it right now —
-  /// notably an execution artifact poisoned by a failed quiesce.
+  /// notably a poisoned execution artifact or an open circuit breaker.
   FailedPrecondition,
   /// Allocation failure (std::bad_alloc or an injected equivalent).
   ResourceExhausted,
@@ -51,7 +51,8 @@ enum class ErrorCode : uint8_t {
   /// stop, so re-running it on a fallback rung would be a bug.
   Cancelled,
   /// The operation's deadline passed before it completed — either while
-  /// queued (it never ran) or mid-execution (it was quiesced). Like
+  /// queued (it never ran) or mid-execution (it stopped at its next
+  /// cancellation point). Like
   /// Cancelled, never retried by the degradation ladder.
   DeadlineExceeded,
   /// Everything else that crossed a boundary as an exception.
@@ -71,8 +72,8 @@ public:
   ErrorCode code() const { return Code; }
   const std::string &message() const { return Message; }
 
-  /// Appends "; Note" to the message (for degradation trails and quiesce
-  /// outcomes) without losing the original code.
+  /// Appends "; Note" to the message (for degradation trails and
+  /// containment outcomes) without losing the original code.
   Status &appendNote(const std::string &Note) {
     Message += Message.empty() ? Note : "; " + Note;
     return *this;

@@ -2,8 +2,8 @@
 //
 // End-to-end deadline and cancellation support: the CancelToken primitive,
 // its cancellation points through the execute stack (ThreadPool chunk
-// claims, CompiledPlan step boundaries and prefetch issue, CompiledProgram
-// node boundaries), the containment contract for a cancelled execution
+// claims, per-task step boundaries, CompiledProgram node boundaries), the
+// containment contract for a cancelled execution
 // (arena discarded, artifact reusable, a clean re-execute bitwise-identical
 // to the reference), the deadline-aware admission layer (cancel-before-
 // claim, deadline-expired-while-queued, auto-cancel on dropping every
@@ -52,7 +52,7 @@ public:
 const ::testing::Environment *const BaselineEnv =
     ::testing::AddGlobalTestEnvironment(new DisarmedBaseline);
 
-/// A Cannon matmul: launch + step gathers, relay-fed prefetch, real
+/// A Cannon matmul: launch + step gathers, relay-fed step fetches, real
 /// writeback — every cancellation point of the plan walk is on the path.
 MatmulProblem makeCannon(Coord N = 24) {
   MatmulOptions O;
@@ -244,12 +244,12 @@ TEST(Cancel, ThreadPoolParallelForHonoursToken) {
   EXPECT_EQ(Ran.load(), 64);
 }
 
-// The containment contract for cancellation, over the full execute-mode
-// matrix (views on/off x pipeline on/off): a pre-cancelled token fails the
-// execution with Cancelled before any work, a delay-held execution trips
-// its deadline mid-flight with DeadlineExceeded, both are contained
-// exactly like any other failure (artifact unpoisoned, arena discarded),
-// and an immediate clean re-execute is bitwise-identical to the reference.
+// The containment contract for cancellation, with views on and off: a
+// pre-cancelled token fails the execution with Cancelled before any work,
+// a delay-held execution trips its deadline mid-flight with
+// DeadlineExceeded, both are contained exactly like any other failure
+// (artifact unpoisoned, arena discarded), and an immediate clean
+// re-execute is bitwise-identical to the reference.
 TEST(Cancel, CancelledExecutionLeavesArtifactReusableAcrossModes) {
   MatmulProblem Prob = makeCannon();
   CompiledPlan CP(Prob.P);
@@ -257,43 +257,38 @@ TEST(Cancel, CancelledExecutionLeavesArtifactReusableAcrossModes) {
   CP.execute(Ref.Regions, fastOpts(1));
   const std::vector<double> Expected = Ref.output(Prob.A);
 
-  for (bool Views : {true, false})
-    for (Pipeline Pipe : {Pipeline::DoubleBuffer, Pipeline::Off}) {
-      SCOPED_TRACE((Views ? "views-on " : "views-off ") +
-                   std::string(Pipe == Pipeline::Off ? "pipe-off"
-                                                     : "pipe-double"));
-      ClientRegions Set(Prob);
-      ExecOptions Opts = fastOpts(2);
-      Opts.ZeroCopyViews = Views;
-      Opts.Pipe = Pipe;
+  for (bool Views : {true, false}) {
+    SCOPED_TRACE(Views ? "views-on" : "views-off");
+    ClientRegions Set(Prob);
+    ExecOptions Opts = fastOpts(2);
+    Opts.ZeroCopyViews = Views;
 
-      // Cancelled at entry: deterministic, nothing executes.
-      Opts.Cancel = CancelToken::create();
-      Opts.Cancel.cancel();
-      Trace T;
-      Status S = CP.tryExecute(Set.Regions, T, Opts);
-      EXPECT_EQ(S.code(), ErrorCode::Cancelled) << S.str();
-      EXPECT_NE(S.message().find("reusable"), std::string::npos)
-          << "containment note missing: " << S.str();
+    // Cancelled at entry: deterministic, nothing executes.
+    Opts.Cancel = CancelToken::create();
+    Opts.Cancel.cancel();
+    Trace T;
+    Status S = CP.tryExecute(Set.Regions, T, Opts);
+    EXPECT_EQ(S.code(), ErrorCode::Cancelled) << S.str();
+    EXPECT_NE(S.message().find("reusable"), std::string::npos)
+        << "containment note missing: " << S.str();
+    EXPECT_FALSE(CP.poisoned());
+
+    // Deadline mid-execution: every leaf arrival sleeps 4ms, so the 1ms
+    // deadline is guaranteed to pass while the walk is still in flight;
+    // the next cancellation point trips DeadlineExceeded.
+    {
+      ScopedFaultInjection Inject(leafDelay(4000));
+      Opts.Cancel = CancelToken::withTimeout(std::chrono::milliseconds(1));
+      Status DS = CP.tryExecute(Set.Regions, T, Opts);
+      EXPECT_EQ(DS.code(), ErrorCode::DeadlineExceeded) << DS.str();
       EXPECT_FALSE(CP.poisoned());
-
-      // Deadline mid-execution: every leaf arrival sleeps 4ms, so the 1ms
-      // deadline is guaranteed to pass while the walk is still in flight;
-      // the next cancellation point trips DeadlineExceeded.
-      {
-        ScopedFaultInjection Inject(leafDelay(4000));
-        Opts.Cancel = CancelToken::withTimeout(std::chrono::milliseconds(1));
-        Status DS = CP.tryExecute(Set.Regions, T, Opts);
-        EXPECT_EQ(DS.code(), ErrorCode::DeadlineExceeded) << DS.str();
-        EXPECT_FALSE(CP.poisoned());
-      }
-
-      // Clean re-execute in the same mode: bitwise-identical bytes.
-      Opts.Cancel = CancelToken();
-      ASSERT_TRUE(CP.tryExecute(Set.Regions, T, Opts).ok());
-      EXPECT_EQ(Set.output(Prob.A), Expected);
     }
-  EXPECT_EQ(CP.arenaStats().Condemned, 0);
+
+    // Clean re-execute in the same mode: bitwise-identical bytes.
+    Opts.Cancel = CancelToken();
+    ASSERT_TRUE(CP.tryExecute(Set.Regions, T, Opts).ok());
+    EXPECT_EQ(Set.output(Prob.A), Expected);
+  }
 }
 
 // Admission: cancelling an unclaimed Deferred request resolves it
@@ -528,7 +523,6 @@ TEST(Cancel, ProgramCancelledBetweenStatementsStaysReusable) {
   Opts.Cancel = CancelToken();
   ASSERT_TRUE(Prog->tryExecute(R.Regions, Opts).ok());
   EXPECT_EQ(R.bytesOf(C.Y), Expected);
-  EXPECT_EQ(Prog->arenaStats().Condemned, 0);
 }
 
 // The Executor ladder never retries a cancelled or expired run: the

@@ -3,16 +3,22 @@
 // The parallel execution engine must be observationally identical to the
 // sequential walk: traces (messages, work, peak memory) and output data are
 // required to be *bitwise* equal at every thread count AND at every
-// task/leaf thread split of the ExecContext. Runs a rotated Cannon plan
-// (systolic relays, GEMM leaves), an MTTKRP plan (general affine leaves,
-// reduction writeback), and a single-task plan (all threads handed to the
-// leaf as nested sub-range jobs), diffing everything across the
-// (task-ways x leaf-ways) grid.
+// task/leaf thread split of the ExecContext. At one thread the walk is
+// task-major (one task finishes all its steps before the next starts);
+// with more threads the per-task step chains interleave freely. Runs a
+// rotated Cannon plan (systolic relays, GEMM leaves), chunked SUMMA (many
+// home-fed broadcast steps), a tall-skinny Cannon (home-fed and relayed
+// operands), a placement collapsing every task onto one processor, an
+// MTTKRP plan (general affine leaves, reduction writeback), and a
+// single-task plan (all threads handed to the leaf as nested sub-range
+// jobs), diffing everything across the (task-ways x leaf-ways) grid. Also
+// covers the launch-phase zero-skip for overwrite-proven leaves.
 //
 //===----------------------------------------------------------------------===//
 
 #include "algorithms/HigherOrder.h"
 #include "algorithms/Matmul.h"
+#include "lower/Lower.h"
 #include "runtime/Executor.h"
 #include "runtime/Region.h"
 
@@ -59,20 +65,19 @@ struct RunResult {
 
 /// TaskWays == 0 runs with setNumThreads(Threads) (adaptive split);
 /// otherwise the split is pinned to TaskWays x LeafWays.
-template <typename Problem>
-RunResult runAt(const Problem &Prob, const std::vector<TensorVar> &Tensors,
-                int Threads, int TaskWays = 0, int LeafWays = 0) {
+RunResult runAt(const Plan &P, const Mapper &Map,
+                const std::vector<TensorVar> &Tensors, int Threads,
+                int TaskWays = 0, int LeafWays = 0) {
   std::map<TensorVar, Region *> Regions;
   std::vector<std::unique_ptr<Region>> Storage;
   for (size_t I = 0; I < Tensors.size(); ++I) {
     const TensorVar &T = Tensors[I];
-    Storage.push_back(
-        std::make_unique<Region>(T, Prob.P.formatOf(T), Prob.P.M));
+    Storage.push_back(std::make_unique<Region>(T, P.formatOf(T), P.M));
     if (I > 0)
       Storage.back()->fillRandom(29 * I + 11);
     Regions[T] = Storage.back().get();
   }
-  Executor Exec(Prob.P);
+  Executor Exec(P, Map);
   if (TaskWays > 0)
     Exec.setThreadSplit(TaskWays, LeafWays);
   else
@@ -95,27 +100,67 @@ void expectSameData(const RunResult &Seq, const RunResult &Par) {
 template <typename Problem>
 void expectDeterministic(const Problem &Prob,
                          const std::vector<TensorVar> &Tensors) {
-  RunResult Seq = runAt(Prob, Tensors, 1);
-  RunResult Par = runAt(Prob, Tensors, 8);
+  RunResult Seq = runAt(Prob.P, defaultMapper(), Tensors, 1);
+  RunResult Par = runAt(Prob.P, defaultMapper(), Tensors, 8);
   expectTracesIdentical(Seq.T, Par.T);
   expectSameData(Seq, Par);
 }
 
 /// Sweeps the pinned (task-ways x leaf-ways) grid against the sequential
 /// run: every nested configuration must match bitwise.
-template <typename Problem>
-void expectDeterministicAcrossSplits(const Problem &Prob,
-                                     const std::vector<TensorVar> &Tensors) {
-  RunResult Seq = runAt(Prob, Tensors, 1);
+void expectDeterministicAcrossSplits(const Plan &P,
+                                     const std::vector<TensorVar> &Tensors,
+                                     const Mapper &Map = defaultMapper()) {
+  RunResult Seq = runAt(P, Map, Tensors, 1);
   for (int TaskWays : {1, 2, 8})
     for (int LeafWays : {1, 4}) {
       SCOPED_TRACE("task ways " + std::to_string(TaskWays) + ", leaf ways " +
                    std::to_string(LeafWays));
-      RunResult R = runAt(Prob, Tensors, 0, TaskWays, LeafWays);
+      RunResult R = runAt(P, Map, Tensors, 0, TaskWays, LeafWays);
       expectTracesIdentical(Seq.T, R.T);
       expectSameData(Seq, R);
     }
 }
+
+/// The gather-heavy rotated-Cannon shape: A(n, r) = B(n, n) * C(n, r) on a
+/// g x 1 grid, K rotated systolically — B's shifts are home-fed per task,
+/// C's relay between neighbour tasks.
+Plan tallSkinnyCannon(Coord N, Coord R, int G, TensorVar &A, TensorVar &B,
+                      TensorVar &C) {
+  Machine M = Machine::grid({G, 1});
+  A = TensorVar("A", {N, R});
+  B = TensorVar("B", {N, N});
+  C = TensorVar("C", {N, R});
+  IndexVar I("i"), J("j"), K("k");
+  IndexVar Io("io"), Ii("ii"), Jo("jo"), Ji("ji"), Ko("ko"), Ki("ki"),
+      Kos("kos");
+  Assignment Stmt(Access(A, {I, J}), Access(B, {I, K}) * Access(C, {K, J}));
+  auto Fmt = [&](const std::string &Spec) {
+    return Format({ModeKind::Dense, ModeKind::Dense},
+                  TensorDistribution::parse(Spec));
+  };
+  std::map<TensorVar, Format> Formats = {
+      {A, Fmt("xy->xy")}, {B, Fmt("xy->xy")}, {C, Fmt("xy->xy")}};
+  Schedule S(Stmt);
+  S.distribute({I, J}, {Io, Jo}, {Ii, Ji}, std::vector<int>{G, 1})
+      .divide(K, Ko, Ki, G)
+      .reorder({Io, Jo, Ko, Ii, Ji, Ki})
+      .rotate(Ko, {Io, Jo}, Kos)
+      .communicate(A, Jo)
+      .communicate({B, C}, Kos)
+      .substitute({Ii, Ji, Ki}, LeafKernel::GeMM);
+  return lower(S.takeNest(), M, std::move(Formats));
+}
+
+/// Mapper collapsing every task onto processor 0: several tasks share one
+/// processor, so every relay source and alias proof sees a crowded
+/// placement.
+struct CollapseMapper : Mapper {
+  Point placeTask(const Point &, const Rect &, const Machine &M) const
+      override {
+    return M.delinearize(0);
+  }
+};
 
 } // namespace
 
@@ -177,7 +222,7 @@ TEST(Determinism, NestedSplitsCannon) {
   Opts.N = 224;
   Opts.Procs = 4;
   MatmulProblem Prob = buildMatmul(MatmulAlgo::Cannon, Opts);
-  expectDeterministicAcrossSplits(Prob, {Prob.A, Prob.B, Prob.C});
+  expectDeterministicAcrossSplits(Prob.P, {Prob.A, Prob.B, Prob.C});
 }
 
 TEST(Determinism, NestedSplitsCannonUnevenTiles) {
@@ -185,7 +230,7 @@ TEST(Determinism, NestedSplitsCannonUnevenTiles) {
   Opts.N = 19; // Guarded edge tiles exercise the hoisted-guard path.
   Opts.Procs = 4;
   MatmulProblem Prob = buildMatmul(MatmulAlgo::Cannon, Opts);
-  expectDeterministicAcrossSplits(Prob, {Prob.A, Prob.B, Prob.C});
+  expectDeterministicAcrossSplits(Prob.P, {Prob.A, Prob.B, Prob.C});
 }
 
 TEST(Determinism, NestedSplitsMttkrp) {
@@ -194,5 +239,94 @@ TEST(Determinism, NestedSplitsMttkrp) {
   Opts.Rank = 8;
   Opts.Procs = 4;
   HigherOrderProblem Prob = buildHigherOrder(HigherOrderKernel::MTTKRP, Opts);
-  expectDeterministicAcrossSplits(Prob, Prob.Tensors);
+  expectDeterministicAcrossSplits(Prob.P, Prob.Tensors);
+}
+
+TEST(Determinism, NestedSplitsChunkedSumma) {
+  MatmulOptions Opts;
+  Opts.N = 32;
+  Opts.Procs = 4;
+  Opts.ChunkSize = 4; // Many home-fed broadcast steps per task chain.
+  MatmulProblem Prob = buildMatmul(MatmulAlgo::Summa, Opts);
+  expectDeterministicAcrossSplits(Prob.P, {Prob.A, Prob.B, Prob.C});
+}
+
+TEST(Determinism, NestedSplitsTallSkinnyCannon) {
+  TensorVar A, B, C;
+  Plan P = tallSkinnyCannon(64, 8, 4, A, B, C);
+  expectDeterministicAcrossSplits(P, {A, B, C});
+}
+
+TEST(Determinism, NestedSplitsCollapsedPlacement) {
+  MatmulOptions Opts;
+  Opts.N = 36;
+  Opts.Procs = 9;
+  MatmulProblem Prob = buildMatmul(MatmulAlgo::Cannon, Opts);
+  CollapseMapper Collapse;
+  expectDeterministicAcrossSplits(Prob.P, {Prob.A, Prob.B, Prob.C},
+                                  Collapse);
+}
+
+TEST(Determinism, ZeroSkipOverwriteLeaves) {
+  // Elementwise non-reduction assignment: every original variable appears
+  // in the output access, so the compile phase proves full overwrite and
+  // skips the launch-phase accumulator zero.
+  Coord N = 24;
+  Machine M = Machine::grid({2, 2});
+  TensorVar A("A", {N, N}), B("B", {N, N}), C("C", {N, N});
+  IndexVar I("i"), J("j"), Io("io"), Ii("ii"), Jo("jo"), Ji("ji");
+  Assignment Stmt(Access(A, {I, J}),
+                  Access(B, {I, J}) * Access(C, {I, J}) + Expr(0.5));
+  Format F({ModeKind::Dense, ModeKind::Dense},
+           TensorDistribution::parse("xy->xy"));
+  std::map<TensorVar, Format> Formats = {{A, F}, {B, F}, {C, F}};
+  Schedule S(Stmt);
+  S.distribute({I, J}, {Io, Jo}, {Ii, Ji}, std::vector<int>{2, 2})
+      .communicate({A, B, C}, Jo);
+  Plan P = lower(S.takeNest(), M, std::move(Formats));
+
+  CompiledPlan CP(P);
+  EXPECT_EQ(CP.zeroSkipTaskCount(), 4);
+
+  auto makeRegions = [&](std::vector<std::unique_ptr<Region>> &Storage) {
+    std::map<TensorVar, Region *> Regions;
+    for (const TensorVar &T : {A, B, C}) {
+      Storage.push_back(std::make_unique<Region>(T, P.formatOf(T), P.M));
+      if (!(T == A))
+        Storage.back()->fillRandom(17 * Storage.size());
+      Regions[T] = Storage.back().get();
+    }
+    return Regions;
+  };
+
+  // Interpreted reference (always zeroes; no overwrite mode).
+  std::vector<std::unique_ptr<Region>> RefStorage;
+  auto RefRegions = makeRegions(RefStorage);
+  CompiledPlan RefCP(P, defaultMapper(), LeafStrategy::Interpreted);
+  ExecOptions RefOpts;
+  RefOpts.NumThreads = 1;
+  RefCP.execute(RefRegions, RefOpts);
+
+  // Compiled with zero-skip, executed twice: the second execution reuses
+  // instance buffers holding the previous results — exactly the state a
+  // broken overwrite would leak.
+  std::vector<std::unique_ptr<Region>> Storage;
+  auto Regions = makeRegions(Storage);
+  ExecOptions Opts;
+  Opts.NumThreads = 8;
+  for (int Round = 0; Round < 2; ++Round) {
+    CP.execute(Regions, Opts);
+    Rect::forExtents(A.shape()).forEachPoint([&](const Point &Pt) {
+      ASSERT_EQ(Regions[A]->at(Pt), RefRegions[A]->at(Pt))
+          << "round " << Round << " at " << Pt.str();
+    });
+  }
+
+  // A reducing statement must never skip its zero.
+  MatmulOptions MOpts;
+  MOpts.N = 16;
+  MOpts.Procs = 4;
+  MatmulProblem Gemm = buildMatmul(MatmulAlgo::Cannon, MOpts);
+  CompiledPlan GemmCP(Gemm.P);
+  EXPECT_EQ(GemmCP.zeroSkipTaskCount(), 0);
 }

@@ -1,14 +1,13 @@
 //===- tests/FaultToleranceTest.cpp - Fault-tolerant execution --*- C++ -*-===//
 //
 // The failure contract of the execution engine, driven by deterministic
-// fault injection: an injected failure at any hook site (gather, prefetch
-// ticket, leaf launch, writeback, allocation), under any pipeline/views
-// configuration, comes back as a recoverable Status; the artifact stays
-// reusable and a subsequent clean execution is bitwise-identical to an
-// uninjected run. Also covers the Executor's graceful-degradation retry
-// ladder, poisoned-artifact eviction from the PlanCache, structured error
-// propagation through Tensor::tryEvaluate, and the ThreadPool's
-// exception-capture contract.
+// fault injection: an injected failure at any hook site (gather, leaf
+// launch, writeback, allocation), with views on or off, comes back as a
+// recoverable Status; the artifact stays reusable and a subsequent clean
+// execution is bitwise-identical to an uninjected run. Also covers the
+// Executor's graceful-degradation retry ladder, poisoned-artifact eviction
+// from the PlanCache, structured error propagation through
+// Tensor::tryEvaluate, and the ThreadPool's exception-capture contract.
 //
 // The fractional-rate test honours DISTAL_FAULT_SEED so CI can sweep seeds;
 // every seed must satisfy the same containment property.
@@ -56,8 +55,8 @@ uint64_t envSeed() {
 }
 
 /// A Cannon matmul (systolic rotations: launch + step gathers, relay-fed
-/// prefetch, real writeback) with regions, the densest exercise of every
-/// hook site.
+/// step fetches, real writeback) with regions, the densest exercise of
+/// every hook site.
 struct Harness {
   MatmulProblem Prob;
   std::vector<std::unique_ptr<Region>> Storage;
@@ -89,11 +88,10 @@ struct Harness {
   }
 };
 
-ExecOptions optsFor(Pipeline Pipe, bool Views) {
+ExecOptions optsFor(bool Views) {
   ExecOptions Opts;
   Opts.NumThreads = 4;
   Opts.Mode = TraceMode::Off;
-  Opts.Pipe = Pipe;
   Opts.ZeroCopyViews = Views;
   return Opts;
 }
@@ -109,57 +107,43 @@ FaultInjector::Config alwaysFire(Site S, int64_t MaxInjections = -1) {
 
 } // namespace
 
-// Every hook site, under every pipeline/views combination, against a fresh
-// artifact (so the Alloc site fires in ensureExecState): an injected fault
-// either surfaces as a recoverable Status — after which the same artifact
-// executes cleanly and bitwise matches the uninjected reference — or the
-// site is legitimately unreached in that configuration (zero injections,
-// output already correct).
+// Every hook site, with views on and off, against a fresh artifact (so
+// the Alloc site fires in ensureExecState): every site must actually fire
+// and surface as a recoverable Status, after which the same artifact
+// executes cleanly and bitwise matches the uninjected reference.
 TEST(FaultTolerance, EverySiteEveryConfigIsContained) {
   Harness H;
   // Uninjected reference output, from its own artifact.
   CompiledPlan Ref(H.Prob.P);
-  Ref.execute(H.Regions, optsFor(Pipeline::Off, true));
+  Ref.execute(H.Regions, optsFor(true));
   const std::vector<double> Expected = H.output();
 
-  const Site Sites[] = {Site::Gather, Site::Prefetch, Site::Leaf,
-                        Site::Writeback, Site::Alloc};
-  for (Pipeline Pipe : {Pipeline::DoubleBuffer, Pipeline::Off}) {
-    for (bool Views : {true, false}) {
-      ExecOptions Opts = optsFor(Pipe, Views);
-      for (Site S : Sites) {
-        SCOPED_TRACE(std::string("site=") + FaultInjector::siteName(S) +
-                     " pipe=" + (Pipe == Pipeline::Off ? "off" : "double") +
-                     " views=" + (Views ? "on" : "off"));
-        CompiledPlan CP(H.Prob.P);
-        Trace T;
-        Status St;
-        {
-          ScopedFaultInjection Inject(alwaysFire(S));
-          St = CP.tryExecute(H.Regions, T, Opts);
-          // Only the prefetch site may legitimately go unreached (there
-          // are no prefetch tickets without the pipeline); every other
-          // site must actually fire under every configuration.
-          bool MayBeUnreached = (S == Site::Prefetch);
-          if (St.ok()) {
-            EXPECT_TRUE(MayBeUnreached);
-            EXPECT_EQ(FaultInjector::stats().totalInjected(), 0);
-          } else {
-            EXPECT_EQ(St.code(), ErrorCode::Injected) << St.str();
-            EXPECT_NE(St.message().find(FaultInjector::siteName(S)),
-                      std::string::npos)
-                << St.str();
-            EXPECT_NE(St.message().find("reusable"), std::string::npos)
-                << "containment note missing: " << St.str();
-            EXPECT_FALSE(CP.poisoned());
-          }
-        }
-        // The artifact must be reusable after the failure, and a clean
-        // execution must be bitwise-identical to the uninjected run.
-        Status Clean = CP.tryExecute(H.Regions, T, Opts);
-        ASSERT_TRUE(Clean.ok()) << Clean.str();
-        EXPECT_EQ(H.output(), Expected);
+  const Site Sites[] = {Site::Gather, Site::Leaf, Site::Writeback,
+                        Site::Alloc};
+  for (bool Views : {true, false}) {
+    ExecOptions Opts = optsFor(Views);
+    for (Site S : Sites) {
+      SCOPED_TRACE(std::string("site=") + FaultInjector::siteName(S) +
+                   " views=" + (Views ? "on" : "off"));
+      CompiledPlan CP(H.Prob.P);
+      Trace T;
+      {
+        ScopedFaultInjection Inject(alwaysFire(S));
+        Status St = CP.tryExecute(H.Regions, T, Opts);
+        ASSERT_FALSE(St.ok()) << "the site must be reached";
+        EXPECT_EQ(St.code(), ErrorCode::Injected) << St.str();
+        EXPECT_NE(St.message().find(FaultInjector::siteName(S)),
+                  std::string::npos)
+            << St.str();
+        EXPECT_NE(St.message().find("reusable"), std::string::npos)
+            << "containment note missing: " << St.str();
+        EXPECT_FALSE(CP.poisoned());
       }
+      // The artifact must be reusable after the failure, and a clean
+      // execution must be bitwise-identical to the uninjected run.
+      Status Clean = CP.tryExecute(H.Regions, T, Opts);
+      ASSERT_TRUE(Clean.ok()) << Clean.str();
+      EXPECT_EQ(H.output(), Expected);
     }
   }
 }
@@ -170,11 +154,11 @@ TEST(FaultTolerance, EverySiteEveryConfigIsContained) {
 TEST(FaultTolerance, FractionalRateRepeatedExecutionsStayContained) {
   Harness H;
   CompiledPlan Ref(H.Prob.P);
-  Ref.execute(H.Regions, optsFor(Pipeline::Off, true));
+  Ref.execute(H.Regions, optsFor(true));
   const std::vector<double> Expected = H.output();
 
   CompiledPlan CP(H.Prob.P);
-  ExecOptions Opts = optsFor(Pipeline::DoubleBuffer, true);
+  ExecOptions Opts = optsFor(true);
   int Failures = 0;
   {
     FaultInjector::Config C;
@@ -240,10 +224,10 @@ TEST(FaultTolerance, RetryLadderSurfacesTrailWhenAllRungsFail) {
   }
   ASSERT_FALSE(S.ok());
   EXPECT_EQ(S.code(), ErrorCode::Injected);
-  ASSERT_EQ(E.degradationTrail().size(), 4u);
-  EXPECT_EQ(E.degradationTrail()[1].Rung, "pipeline-off");
-  EXPECT_EQ(E.degradationTrail()[2].Rung, "zero-copy-views-off");
-  EXPECT_EQ(E.degradationTrail()[3].Rung, "interpreted-leaves");
+  ASSERT_EQ(E.degradationTrail().size(), 3u);
+  EXPECT_EQ(E.degradationTrail()[0].Rung, "as-configured");
+  EXPECT_EQ(E.degradationTrail()[1].Rung, "zero-copy-views-off");
+  EXPECT_EQ(E.degradationTrail()[2].Rung, "interpreted-leaves");
   for (const Executor::RetryAttempt &A : E.degradationTrail())
     EXPECT_FALSE(A.Outcome.ok()) << A.Rung;
   // The whole trail is rendered into the Status, first attempt included,
@@ -286,7 +270,7 @@ TEST(FaultTolerance, PoisonedArtifactIsRefusedAndEvicted) {
     CompiledPlan CP(H.Prob.P);
     CP.poisonForTesting();
     Trace T;
-    Status S = CP.tryExecute(H.Regions, T, optsFor(Pipeline::Off, true));
+    Status S = CP.tryExecute(H.Regions, T, optsFor(true));
     ASSERT_FALSE(S.ok());
     EXPECT_EQ(S.code(), ErrorCode::FailedPrecondition);
   }
@@ -402,7 +386,7 @@ TEST(FaultTolerance, DisarmedInjectorIsInert) {
   CompiledPlan CP(H.Prob.P);
   Trace T;
   ASSERT_TRUE(
-      CP.tryExecute(H.Regions, T, optsFor(Pipeline::DoubleBuffer, true)).ok());
+      CP.tryExecute(H.Regions, T, optsFor(true)).ok());
 }
 
 // Strict DISTAL_FAULT_* parsing: every malformed value is ignored (the
@@ -460,10 +444,13 @@ TEST(FaultTolerance, ParseEnvConfigRejectsMalformedValues) {
 // the mask.
 TEST(FaultTolerance, ParseSitesWarnsOnUnknownNames) {
   std::string W;
-  uint32_t Mask = FaultInjector::parseSites("leaf,gahter,writeback", &W);
+  uint32_t Mask =
+      FaultInjector::parseSites("leaf,gahter,prefetch,writeback", &W);
   EXPECT_EQ(Mask, FaultInjector::maskFor(Site::Leaf) |
                       FaultInjector::maskFor(Site::Writeback));
   EXPECT_NE(W.find("unknown fault site 'gahter'"), std::string::npos) << W;
+  EXPECT_NE(W.find("unknown fault site 'prefetch'"), std::string::npos)
+      << "the retired prefetch site must warn: " << W;
   EXPECT_TRUE(FaultInjector::parseSites("all", &W) ==
               FaultInjector::allSites());
 }
@@ -476,7 +463,7 @@ TEST(FaultTolerance, ParseSitesWarnsOnUnknownNames) {
 TEST(FaultTolerance, DelayActionStretchesTimeWithoutCorruption) {
   Harness H;
   CompiledPlan CP(H.Prob.P);
-  CP.execute(H.Regions, optsFor(Pipeline::DoubleBuffer, true));
+  CP.execute(H.Regions, optsFor(true));
   const std::vector<double> Expected = H.output();
 
   FaultInjector::Config C;
@@ -489,8 +476,7 @@ TEST(FaultTolerance, DelayActionStretchesTimeWithoutCorruption) {
   {
     ScopedFaultInjection Inject(C);
     Trace T;
-    Status S = CP.tryExecute(H.Regions, T, optsFor(Pipeline::DoubleBuffer,
-                                                   true));
+    Status S = CP.tryExecute(H.Regions, T, optsFor(true));
     ASSERT_TRUE(S.ok()) << "delays must never fail an execution: " << S.str();
     Fired = FaultInjector::stats().totalInjected();
   }

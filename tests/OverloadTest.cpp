@@ -1,11 +1,11 @@
 //===- tests/OverloadTest.cpp - Memory governor and overload behavior -----===//
 //
 // The resource-governance contract under overload: every significant
-// allocation (Region storage, arena instance/back buffers, PlanCache
+// allocation (Region storage, arena instance buffers, PlanCache
 // artifacts) is charged against the process-wide ResourceGovernor budget,
 // and the three pressure responses degrade service instead of dying in
-// std::bad_alloc — soft pressure admits with Pipeline::Off (bitwise-
-// identical output) and stops caching arenas/artifacts, hard pressure
+// std::bad_alloc — soft pressure stops caching idle arenas and shrinks
+// the PlanCache LRUs to their floors (output bytes untouched), hard pressure
 // sheds queued unclaimed requests newest-first with ResourceExhausted and
 // a machine-readable retry-after hint (running executions are never
 // touched), and the per-artifact circuit breaker fails fast with
@@ -104,7 +104,7 @@ ResourceGovernor::Config observeOnly() {
   return C;
 }
 
-/// A Cannon matmul: launch + step gathers, relay-fed prefetch, real
+/// A Cannon matmul: launch + step gathers, relay-fed step fetches, real
 /// writeback — the densest exercise of the execute walk.
 MatmulProblem makeCannon(Coord N = 24) {
   MatmulOptions O;
@@ -296,14 +296,11 @@ TEST(Overload, DisarmedGovernorZeroBehaviorChange) {
                            AdmissionQueue::Dispatch::Deferred);
   const Status &S = F.wait();
   EXPECT_TRUE(S.ok()) << S.str();
-  EXPECT_EQ(S.message().find("memory pressure"), std::string::npos)
-      << "no degradation note without a budget: " << S.str();
   EXPECT_EQ(Set.output(Prob.A), Expected);
 
   ResourceGovernor::Stats G = ResourceGovernor::stats();
   EXPECT_EQ(G.BudgetBytes, 0);
   EXPECT_EQ(G.UsedBytes, 0) << "disarmed charges must not be accounted";
-  EXPECT_EQ(G.DegradedAdmissions, 0);
   EXPECT_EQ(G.ShedRequests, 0);
   EXPECT_EQ(G.CacheShrinks, 0);
   EXPECT_EQ(G.ArenaCacheBypasses, 0);
@@ -360,16 +357,20 @@ TEST(Overload, ChargeReleaseExactnessAcrossOutcomes) {
 
 // ---- Graceful degradation (soft watermark) ---------------------------------
 
-// Soft pressure degrades the admission to Pipeline::Off — recorded in the
-// governor stats and in the Status note — and the output bytes are
-// bitwise-identical to the undegraded run. The arena pool stops caching
-// idle arenas while the pressure lasts.
+// Soft pressure degrades service, never bytes: the arena pool stops
+// caching idle arenas and the PlanCache LRUs shrink to their floors, both
+// counted in the governor stats, while the admitted execution runs
+// unchanged and is bitwise-identical to the unpressured run.
 TEST(Overload, SoftPressureDegradesBitwiseIdentical) {
   MatmulProblem Prob = makeCannon(32);
   CompiledPlan CP(Prob.P);
   ClientRegions Ref(Prob);
   CP.execute(Ref.Regions, fastOpts(1));
   const std::vector<double> Expected = Ref.output(Prob.A);
+  PlanCache Cache;
+  auto Cached = std::make_shared<CompiledPlan>(Prob.P);
+  for (size_t I = 0; I < PlanCache::PlanFloor + 2; ++I)
+    Cache.put("plan" + std::to_string(I), Cached);
 
   ScopedGovernor Gov(softPinned());
   ClientRegions Set(Prob); // Charged: usage > 0, so Pressure::Soft.
@@ -379,17 +380,17 @@ TEST(Overload, SoftPressureDegradesBitwiseIdentical) {
                            AdmissionQueue::Dispatch::Deferred);
   const Status &S = F.wait();
   EXPECT_TRUE(S.ok()) << S.str();
-  EXPECT_NE(S.message().find("pipelining off"), std::string::npos)
-      << "degraded admission must be noted on the Status: " << S.str();
   EXPECT_EQ(Set.output(Prob.A), Expected)
-      << "degraded execution must be bitwise-identical";
+      << "degraded service must stay bitwise-identical";
+  EXPECT_NE(Cache.find("plan0"), nullptr); // Touch: triggers the shrink.
+  EXPECT_EQ(Cache.size(), PlanCache::PlanFloor);
 
   ResourceGovernor::Stats G = ResourceGovernor::stats();
-  EXPECT_EQ(G.DegradedAdmissions, 1);
   EXPECT_EQ(G.ShedRequests, 0) << "soft pressure never sheds";
   EXPECT_GE(G.ArenaCacheBypasses, 1)
       << "idle arenas are freed, not cached, under pressure";
   EXPECT_EQ(CP.arenaStats().Cached, 0);
+  EXPECT_EQ(G.CacheShrinks, 2) << "the plan LRU shrinks to its floor";
 }
 
 // Under pressure both PlanCache LRUs shrink to their floors (artifacts
@@ -751,13 +752,14 @@ TEST(Overload, SoakManyClientsUnderPressure) {
   for (const Status &S : RunPhase())
     EXPECT_TRUE(S.ok()) << S.str();
 
-  // Phase 2 — soft pressure: everything still succeeds (degraded).
+  // Phase 2 — soft pressure: everything still succeeds, and no finished
+  // execution's arena is cached.
   {
     ScopedGovernor Gov(softPinned());
     ClientRegions Pressure(Prob); // Accounted usage: Pressure::Soft.
     for (const Status &S : RunPhase())
       EXPECT_TRUE(S.ok()) << S.str();
-    EXPECT_GE(ResourceGovernor::stats().DegradedAdmissions, PhaseClients);
+    EXPECT_GE(ResourceGovernor::stats().ArenaCacheBypasses, PhaseClients);
   }
 
   // Phase 3 — hard pressure: the excess is shed, never crashed.
