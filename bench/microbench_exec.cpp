@@ -8,6 +8,11 @@
 //   * leaf_mttkrp      — the general-affine leaf path (MTTKRP: 3-access
 //                        product, strided-dot innermost loop) on the Execute
 //                        backend: compiled tape vs the seed tree interpreter.
+//   * leaf_elementwise — the power-iteration statement y(i) = x(i)*a + b at
+//                        1 thread, steady-state executions: the compiled
+//                        block-at-a-time tape vs the seed tree interpreter.
+//                        --check requires bitwise equality (a difference
+//                        of 0): neither side reassociates.
 //   * gather           — Region::gather strided runs vs per-point reference,
 //                        for a contiguous and a strided rectangle.
 //   * e2e_gemm         — fig15a-style Cannon GEMM end to end on the Execute
@@ -79,7 +84,8 @@
 // Usage: microbench_exec [--check] [--threads=N] [--out=FILE]
 //                        [--baseline=FILE] [--gate=FRACTION]
 //   --check runs small shapes, verifies every fast path against its
-//   reference within 1e-9, and exits non-zero on mismatch (CI smoke mode).
+//   reference (within 1e-9, or exactly where nothing reassociates), and
+//   exits non-zero on mismatch (CI smoke mode).
 //   --baseline compares the machine-independent speedup ratios of the
 //   single-thread rows (leaf/gather/gemm) against a previously committed
 //   BENCH_exec.json and exits non-zero when any drops by more than the
@@ -231,6 +237,46 @@ void benchLeafMttkrp() {
   record("leaf_mttkrp", SeedMs, FastMs,
          "dim=" + std::to_string(Opts.Dim) +
              " rank=" + std::to_string(Opts.Rank) + " procs=4, 1 thread",
+         /*Gated=*/true);
+}
+
+void benchLeafElementwise() {
+  // The power-iteration statement: x(i)*a + b is no pure product, so no
+  // blas route fires and the compiled leaf evaluates its tape a block at a
+  // time. Both columns time steady-state executions of one prebuilt
+  // artifact over prebuilt regions, so the leaf dominates.
+  Coord N = CheckMode ? 4096 : Coord(1) << 18;
+  TensorVar Y("y", {N}), X("x", {N});
+  IndexVar I("i"), Io("io"), Ii("ii");
+  Schedule S(Assignment(Access(Y, {I}),
+                        Access(X, {I}) * Expr(1.0009765625) + Expr(0.03125)));
+  S.distribute({I}, {Io}, {Ii}, std::vector<int>{4}).communicate({Y, X}, Io);
+  Format F({ModeKind::Dense}, TensorDistribution::parse("x->x"));
+  Plan P = lower(S.takeNest(), Machine::grid({4}), {{Y, F}, {X, F}});
+  ProblemData SeedD = makeRegions(P, {Y, X}), FastD = makeRegions(P, {Y, X});
+  CompiledPlan SeedCP(P, defaultMapper(), LeafStrategy::Interpreted);
+  CompiledPlan FastCP(P);
+  ExecOptions O;
+  O.NumThreads = 1;
+  O.Mode = TraceMode::Off;
+  SeedCP.execute(SeedD.Regions, O); // Warm buffers outside the timing.
+  FastCP.execute(FastD.Regions, O);
+  // Alternate the samples so a drift in host speed hits both columns.
+  double SeedMs = 1e300, FastMs = 1e300;
+  for (int R = 0; R < (CheckMode ? 1 : 10); ++R) {
+    SeedMs = std::min(SeedMs,
+                      bestMs(1, [&] { SeedCP.execute(SeedD.Regions, O); }));
+    FastMs = std::min(FastMs,
+                      bestMs(1, [&] { FastCP.execute(FastD.Regions, O); }));
+  }
+  // Exact: nothing on either side reassociates.
+  double Diff = maxDiff(*SeedD.Regions[Y], *FastD.Regions[Y]);
+  if (Diff != 0)
+    fail("leaf_elementwise compiled output differs from interpreter by " +
+         std::to_string(Diff));
+  record("leaf_elementwise", SeedMs, FastMs,
+         "y(i) = x(i)*a + b n=" + std::to_string(N) +
+             " procs=4, 1 thread, steady-state",
          /*Gated=*/true);
 }
 
@@ -1057,6 +1103,7 @@ int main(int argc, char **argv) {
     }
   }
   benchLeafMttkrp();
+  benchLeafElementwise();
   benchGather();
   benchE2EGemm();
   benchNestedLeafGemm();

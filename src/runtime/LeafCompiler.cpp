@@ -6,7 +6,10 @@
 // task across steps), guards are hoisted out of the innermost loop, and
 // recognisable loop structures route to blas:: kernels (GEMM for
 // matrix-multiply leaves; strided dot / axpy / sum for contraction and
-// elementwise innermost loops).
+// elementwise innermost loops). Any other innermost loop evaluates the tape
+// a block of points at a time, one pass per instruction; it falls back to
+// one point at a time only when the statement needs it (per-point guards,
+// a right-hand side that reads the output).
 //
 //===----------------------------------------------------------------------===//
 
@@ -75,6 +78,91 @@ inline double evalTape(const std::vector<TapeIns> &Ins,
   return Stack[0];
 }
 
+/// Stack slots of the block evaluator; a deeper tape runs per point.
+constexpr int BlockSlots = 8;
+/// Points per block: one slot is a 1 KB run, so all slots stay in L1.
+constexpr int BlockLen = 128;
+
+/// One pass of the block evaluator over \p Len points: D[K] = X(K) for a
+/// push, D[K] += X(K) or D[K] *= X(K) for an Add or Mul (or a push folded
+/// into one).
+template <typename Operand>
+inline void blockPass(TapeOp Op, double *__restrict__ D, int Len,
+                      Operand X) {
+  if (Op == TapeOp::Add)
+    for (int K = 0; K < Len; ++K)
+      D[K] += X(K);
+  else if (Op == TapeOp::Mul)
+    for (int K = 0; K < Len; ++K)
+      D[K] *= X(K);
+  else
+    for (int K = 0; K < Len; ++K)
+      D[K] = X(K);
+}
+
+/// Evaluates the tape over the first \p Trips points of the innermost leaf
+/// loop, starting at the row offsets in E.CurOff, one block of BlockLen
+/// points at a time. Every instruction is one tight pass over the block:
+/// PushAcc loads the access's strided run into a slot, PushLit broadcasts,
+/// Add/Mul combine the top two slots; a push consumed at once by Add/Mul
+/// folds into that operation's pass (the same operation, same operand
+/// order). A final pass assigns or accumulates the block into the output at
+/// its inner stride, in point order.
+///
+/// The bytes equal evalTape's point by point: each element sees the same
+/// IEEE operations in the same order, and since no pass holds two tape
+/// operations the compiler cannot contract a multiply and an add into an
+/// FMA. Requires T.MaxDepth <= BlockSlots and no right-hand-side access of
+/// the output (a block reads all its operands before it stores). Kept out
+/// of line so only this frame holds the slots, which stay uninitialized: a
+/// postfix tape writes every slot element before it reads it.
+__attribute__((noinline)) void runTapeBlocks(const LeafEngine &E,
+                                             const Tape &T, int Inner,
+                                             Coord Trips, bool Overwrite) {
+  double Slot[BlockSlots][BlockLen];
+  double *const *Data = E.AccData.data();
+  const TapeIns *Ins = T.Ins.data();
+  const size_t NumIns = T.Ins.size();
+  auto Binary = [](TapeOp Op) {
+    return Op == TapeOp::Add || Op == TapeOp::Mul;
+  };
+  for (Coord B0 = 0; B0 < Trips; B0 += BlockLen) {
+    const int Len = static_cast<int>(std::min<Coord>(BlockLen, Trips - B0));
+    int SP = 0;
+    for (size_t P = 0; P < NumIns; ++P) {
+      const TapeIns &I = Ins[P];
+      if (Binary(I.Op)) {
+        const double *R = Slot[--SP];
+        blockPass(I.Op, Slot[SP - 1], Len, [R](int K) { return R[K]; });
+        continue;
+      }
+      // A push that Add/Mul consumes at once combines into the top slot.
+      TapeOp Op = I.Op;
+      if (P + 1 < NumIns && Binary(Ins[P + 1].Op))
+        Op = Ins[++P].Op;
+      else
+        ++SP;
+      double *D = Slot[SP - 1];
+      if (I.Op == TapeOp::PushLit) {
+        blockPass(Op, D, Len, [Lit = I.Lit](int) { return Lit; });
+      } else {
+        const int64_t S = E.AccCoef[I.Acc][Inner];
+        const double *Src = Data[I.Acc] + E.CurOff[I.Acc] + B0 * S;
+        blockPass(Op, D, Len, [Src, S](int K) { return Src[K * S]; });
+      }
+    }
+    const int64_t OutIC = E.AccCoef[0][Inner];
+    double *__restrict__ Out = Data[0] + E.CurOff[0] + B0 * OutIC;
+    const double *V = Slot[0];
+    if (Overwrite)
+      for (int K = 0; K < Len; ++K)
+        Out[K * OutIC] = V[K];
+    else
+      for (int K = 0; K < Len; ++K)
+        Out[K * OutIC] += V[K];
+  }
+}
+
 /// Computes the per-leaf-var coefficients of every original variable by
 /// probing the provenance graph (the expensive part, cached across steps).
 void computeVarCoefs(LeafEngine &E, const ProvenanceGraph &Prov,
@@ -141,6 +229,9 @@ bool prepareStep(LeafEngine &E, const Plan &P,
     E.NumAcc = static_cast<int>(E.Accesses.size());
     for (int V = 0; V < E.NumOrig; ++V)
       E.OrigIdx[E.OrigV[V]] = V;
+    E.ReadsOutput = false;
+    for (int A = 1; A < E.NumAcc; ++A)
+      E.ReadsOutput |= E.Accesses[A].tensor() == E.Accesses[0].tensor();
     E.LeafExtents.resize(E.NumLeaf);
     for (int I = 0; I < E.NumLeaf; ++I)
       E.LeafExtents[I] = Prov.extent(E.LeafV[I]);
@@ -262,7 +353,8 @@ bool tryGemmLeaf(LeafEngine &E, const Tape &T, const LeafParallelism &LP) {
 
 /// How the innermost leaf loop executes.
 enum class InnerKind {
-  TapeLoop,    ///< Evaluate the postfix tape at every point.
+  TapeBlocks,  ///< Evaluate the postfix tape a block of points at a time.
+  TapeLoop,    ///< Evaluate the postfix tape one point at a time.
   DotReduce,   ///< Out invariant: alpha * dot/sum over the varying accesses.
   AxpyUpdate,  ///< Out varies, one varying operand: strided axpy.
   MulUpdate,   ///< Out varies, two varying operands: elementwise product.
@@ -302,7 +394,12 @@ void runGeneralLeaf(LeafEngine &E, const Tape &T, const LeafParallelism &LP,
   if (T.PureProduct)
     for (int A : T.ProductAccs)
       (E.AccCoef[A][Inner] != 0 ? Varying : Invariant).push_back(A);
-  InnerKind Kind = InnerKind::TapeLoop;
+  // A block reads all its operands before it stores, so a right-hand side
+  // that reads the output (and must see the partial sums of the points
+  // before it) runs per point, as does a tape deeper than the block slots.
+  InnerKind Kind = !E.ReadsOutput && T.MaxDepth <= BlockSlots
+                       ? InnerKind::TapeBlocks
+                       : InnerKind::TapeLoop;
   if (T.PureProduct) {
     if (OutIC == 0 && Varying.size() <= 2)
       Kind = InnerKind::DotReduce;
@@ -412,6 +509,9 @@ void runGeneralLeaf(LeafEngine &E, const Tape &T, const LeafParallelism &LP,
             Out[I * OutIC] += Alpha;
         break;
       }
+      case InnerKind::TapeBlocks:
+        runTapeBlocks(E, T, Inner, Trips, Overwrite);
+        break;
       case InnerKind::TapeLoop: {
         std::copy(E.CurOff.begin(), E.CurOff.end(), E.RowOff.begin());
         for (Coord I = 0; I < Trips; ++I) {

@@ -10,7 +10,11 @@
 /// corner of the leaf domain); guards hoist out of the innermost loop; and
 /// recognisable loop structures route to blas:: kernels (GEMM for
 /// matrix-multiply leaves, strided dot / axpy / sum for contraction and
-/// elementwise innermost loops).
+/// elementwise innermost loops). Any other innermost loop evaluates the
+/// tape a block of points at a time, one pass per instruction, with the
+/// same bytes as point by point; it runs one point at a time only when the
+/// statement needs it (per-point guards, a right-hand side that reads the
+/// output).
 ///
 /// The seed per-point expression-tree interpreter survives as
 /// runInterpretedLeaf for differential tests and benchmarks.
@@ -63,6 +67,9 @@ struct LeafEngine {
   int NumLeaf = 0, NumOrig = 0, NumAcc = 0;
   std::vector<IndexVar> LeafV, OrigV;
   std::vector<Access> Accesses; ///< LHS first.
+  /// A right-hand-side access reads the output tensor: the tape then runs
+  /// one point at a time, so each point sees the stores before it.
+  bool ReadsOutput = false;
   std::map<IndexVar, int> OrigIdx;
   std::vector<Coord> LeafExtents;
   std::vector<Coord> VarExtent;
@@ -84,8 +91,9 @@ struct LeafEngine {
 
 /// Runs one leaf invocation through the compiled engine: binds this step's
 /// fixed values and instances (compiling/validating the cached affine
-/// structure), then routes to a GEMM, strided-BLAS, or tape loop. \p LP
-/// bounds the nested fan-out of the routed kernels.
+/// structure), then routes to a GEMM, strided-BLAS, or tape loop (block at
+/// a time where the statement allows). \p LP bounds the nested fan-out of
+/// the routed kernels.
 ///
 /// \p Overwrite runs the leaf in overwrite mode: output elements are
 /// assigned (=) instead of accumulated (+=), valid only when compile-time

@@ -2,7 +2,8 @@
 ///
 /// \file
 /// Shared strict parse-and-warn helpers for DISTAL_* environment knobs.
-/// Every consumer (FaultInjector, ResourceGovernor) follows the same
+/// Every consumer (FaultInjector, ResourceGovernor, the thread pool's
+/// DISTAL_NUM_THREADS) follows the same
 /// contract: an unset or *empty* variable is plain "unset" (GitHub-Actions
 /// matrices export empty strings for absent entries), while a malformed or
 /// out-of-range value is rejected with one warning line naming the

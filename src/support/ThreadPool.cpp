@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
+#include "support/EnvParse.h"
 #include "support/Error.h"
 
 using namespace distal;
@@ -329,11 +331,30 @@ ThreadPool &ThreadPool::global() {
 }
 
 int distal::defaultExecutorThreads() {
-  if (const char *Env = std::getenv("DISTAL_NUM_THREADS")) {
-    int N = std::atoi(Env);
+  static const int Threads = [] {
+    std::string Warnings;
+    int N = parseNumThreadsEnv(std::getenv("DISTAL_NUM_THREADS"), &Warnings);
+    if (!Warnings.empty())
+      std::fputs(Warnings.c_str(), stderr);
     if (N > 0)
       return N;
+    unsigned HW = std::thread::hardware_concurrency();
+    return HW == 0 ? 1 : static_cast<int>(HW);
+  }();
+  return Threads;
+}
+
+int distal::parseNumThreadsEnv(const char *Value, std::string *Warnings) {
+  if (!envparse::envSet(Value))
+    return 0;
+  int64_t N;
+  if (!envparse::parseI64Strict(Value, N) || N <= 0 ||
+      N > std::numeric_limits<int>::max()) {
+    envparse::warn(Warnings,
+                   std::string("distal: ignoring malformed "
+                               "DISTAL_NUM_THREADS '") +
+                       Value + "' (want a positive integer)");
+    return 0;
   }
-  unsigned HW = std::thread::hardware_concurrency();
-  return HW == 0 ? 1 : static_cast<int>(HW);
+  return static_cast<int>(N);
 }

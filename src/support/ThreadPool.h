@@ -26,6 +26,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -214,8 +215,17 @@ private:
   bool ShuttingDown = false;
 };
 
-/// Number of threads the Execute backend should use by default.
+/// Number of threads the Execute backend should use by default: the
+/// DISTAL_NUM_THREADS environment variable, read once per process, else the
+/// hardware concurrency.
 int defaultExecutorThreads();
+
+/// Parses a raw DISTAL_NUM_THREADS value: the positive int it names, or 0
+/// (use the hardware concurrency) when it is unset (null or empty) or
+/// rejected. Anything but a positive int is rejected with one warning line
+/// appended to \p Warnings, per support/EnvParse.h's contract. Pure —
+/// exposed so tests can drive it without touching the environment.
+int parseNumThreadsEnv(const char *Value, std::string *Warnings = nullptr);
 
 } // namespace distal
 

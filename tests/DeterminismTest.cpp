@@ -12,7 +12,10 @@
 // MTTKRP plan (general affine leaves, reduction writeback), and a
 // single-task plan (all threads handed to the leaf as nested sub-range
 // jobs), diffing everything across the (task-ways x leaf-ways) grid. Also
-// covers the launch-phase zero-skip for overwrite-proven leaves.
+// covers the launch-phase zero-skip for overwrite-proven leaves, over a
+// table of non-product statements whose compiled leaves (block-at-a-time
+// tape, or per point where the statement needs it) must match the per-point
+// interpreter byte for byte.
 //
 //===----------------------------------------------------------------------===//
 
@@ -162,6 +165,49 @@ struct CollapseMapper : Mapper {
   }
 };
 
+/// One statement of the leaf table in ZeroSkipOverwriteLeaves.
+struct LeafCase {
+  std::string Name;
+  Plan P;
+  std::vector<TensorVar> Tensors; ///< Output first.
+  int64_t ZeroSkipTasks;          ///< Expected CompiledPlan::zeroSkipTaskCount.
+};
+
+/// A dense format with one mode per tensor dimension named in \p Spec.
+Format denseFormat(const std::string &Spec) {
+  std::vector<ModeKind> Modes(Spec.find('-'), ModeKind::Dense);
+  return Format(Modes, TensorDistribution::parse(Spec));
+}
+
+/// Lowers \p Stmt with (i, j) block-distributed onto the 2x2 grid. Each
+/// tensor is partitioned along the dimensions it shares with (i, j): a
+/// one-dimensional tensor follows i and replicates along j.
+Plan onGrid2x2(const Assignment &Stmt, const IndexVar &I, const IndexVar &J,
+               const std::vector<TensorVar> &Tensors) {
+  IndexVar Io("io"), Ii("ii"), Jo("jo"), Ji("ji");
+  std::map<TensorVar, Format> Formats;
+  for (const TensorVar &T : Tensors)
+    Formats.emplace(T, denseFormat(T.order() == 1 ? "x->x*" : "xy->xy"));
+  Schedule S(Stmt);
+  S.distribute({I, J}, {Io, Jo}, {Ii, Ji}, std::vector<int>{2, 2})
+      .communicate(Tensors, Jo);
+  return lower(S.takeNest(), Machine::grid({2, 2}), std::move(Formats));
+}
+
+/// Regions for \p Case with every tensor, the output included, filled.
+std::map<TensorVar, Region *>
+fillRegions(const LeafCase &Case,
+            std::vector<std::unique_ptr<Region>> &Storage) {
+  std::map<TensorVar, Region *> Regions;
+  for (const TensorVar &T : Case.Tensors) {
+    Storage.push_back(
+        std::make_unique<Region>(T, Case.P.formatOf(T), Case.P.M));
+    Storage.back()->fillRandom(17 * Storage.size());
+    Regions[T] = Storage.back().get();
+  }
+  return Regions;
+}
+
 } // namespace
 
 TEST(Determinism, RotatedCannonPlan) {
@@ -268,58 +314,102 @@ TEST(Determinism, NestedSplitsCollapsedPlacement) {
 }
 
 TEST(Determinism, ZeroSkipOverwriteLeaves) {
-  // Elementwise non-reduction assignment: every original variable appears
-  // in the output access, so the compile phase proves full overwrite and
-  // skips the launch-phase accumulator zero.
-  Coord N = 24;
-  Machine M = Machine::grid({2, 2});
-  TensorVar A("A", {N, N}), B("B", {N, N}), C("C", {N, N});
-  IndexVar I("i"), J("j"), Io("io"), Ii("ii"), Jo("jo"), Ji("ji");
-  Assignment Stmt(Access(A, {I, J}),
-                  Access(B, {I, J}) * Access(C, {I, J}) + Expr(0.5));
-  Format F({ModeKind::Dense, ModeKind::Dense},
-           TensorDistribution::parse("xy->xy"));
-  std::map<TensorVar, Format> Formats = {{A, F}, {B, F}, {C, F}};
-  Schedule S(Stmt);
-  S.distribute({I, J}, {Io, Jo}, {Ii, Ji}, std::vector<int>{2, 2})
-      .communicate({A, B, C}, Jo);
-  Plan P = lower(S.takeNest(), M, std::move(Formats));
+  // Elementwise assignments name every original variable in the output
+  // access, so the compile phase proves full overwrite and skips the
+  // launch-phase accumulator zero; the reductions keep it. No right-hand
+  // side below is a pure product, so each compiled leaf evaluates its tape
+  // block by block (or per point where the statement needs it) and must
+  // match the per-point interpreted reference byte for byte.
+  IndexVar I("i"), J("j");
+  std::vector<LeafCase> Cases;
+  for (Coord N : {333, 37}) {
+    // n=333: 167-point rows, one full block plus a remainder. n=37: edge
+    // tiles under the hoisted guard.
+    TensorVar A("A", {N, N}), B("B", {N, N}), C("C", {N, N});
+    Cases.push_back(
+        {"A(i,j) = B(i,j)*C(i,j) + 0.5, n=" + std::to_string(N),
+         onGrid2x2(Assignment(Access(A, {I, J}),
+                              Access(B, {I, J}) * Access(C, {I, J}) +
+                                  Expr(0.5)),
+                   I, J, {A, B, C}),
+         {A, B, C}, 4});
+  }
+  {
+    Coord N = 64;
+    TensorVar A("A", {N, N}), B("B", {N, N}), C("C", {N, N});
+    Cases.push_back(
+        {"A(i,j) = B(j,i)*2 + C(i,j): non-unit inner stride",
+         onGrid2x2(Assignment(Access(A, {I, J}),
+                              Access(B, {J, I}) * Expr(2.0) +
+                                  Access(C, {I, J})),
+                   I, J, {A, B, C}),
+         {A, B, C}, 4});
+    Cases.push_back(
+        {"A(i,j) = B(i,j)*(C(i,j) + B(i,j)*2) + 1: tape depth 3",
+         onGrid2x2(Assignment(Access(A, {I, J}),
+                              Access(B, {I, J}) *
+                                      (Access(C, {I, J}) +
+                                       Access(B, {I, J}) * Expr(2.0)) +
+                                  Expr(1.0)),
+                   I, J, {A, B, C}),
+         {A, B, C}, 4});
+  }
+  {
+    // Accumulate mode: the output is invariant along the inner loop, so
+    // a block's values must reduce into one element in point order.
+    Coord N = 200;
+    TensorVar A("a", {N}), B("B", {N, N}), C("C", {N, N});
+    Cases.push_back(
+        {"a(i) = B(i,j) + C(i,j): accumulate, output invariant",
+         onGrid2x2(Assignment(Access(A, {I}),
+                              Access(B, {I, J}) + Access(C, {I, J})),
+                   I, J, {A, B, C}),
+         {A, B, C}, 0});
+  }
+  {
+    // The right-hand side reads its own output: every point must see the
+    // partial sums the points before it left.
+    Coord N = 150;
+    Machine M = Machine::grid({1});
+    TensorVar X("x", {N}), B("B", {N, N});
+    IndexVar Io("io"), Ii("ii");
+    Schedule S(Assignment(Access(X, {I}), Access(X, {J}) + Access(B, {I, J})));
+    S.distribute({I}, {Io}, {Ii}, std::vector<int>{1}).communicate({X, B}, Io);
+    std::map<TensorVar, Format> Formats = {{X, denseFormat("x->x")},
+                                           {B, denseFormat("xy->x")}};
+    Cases.push_back({"x(i) = x(j) + B(i,j): reads its own output",
+                     lower(S.takeNest(), M, std::move(Formats)),
+                     {X, B},
+                     0});
+  }
 
-  CompiledPlan CP(P);
-  EXPECT_EQ(CP.zeroSkipTaskCount(), 4);
-
-  auto makeRegions = [&](std::vector<std::unique_ptr<Region>> &Storage) {
-    std::map<TensorVar, Region *> Regions;
-    for (const TensorVar &T : {A, B, C}) {
-      Storage.push_back(std::make_unique<Region>(T, P.formatOf(T), P.M));
-      if (!(T == A))
-        Storage.back()->fillRandom(17 * Storage.size());
-      Regions[T] = Storage.back().get();
+  for (const LeafCase &Case : Cases) {
+    SCOPED_TRACE(Case.Name);
+    CompiledPlan CP(Case.P);
+    EXPECT_EQ(CP.zeroSkipTaskCount(), Case.ZeroSkipTasks);
+    CompiledPlan RefCP(Case.P, defaultMapper(), LeafStrategy::Interpreted);
+    const TensorVar &Out = Case.Tensors[0];
+    for (int Threads : {1, 8}) {
+      // Interpreted reference (always zeroes; no overwrite mode) and the
+      // compiled plan advance in lockstep over two rounds: the second
+      // execution reuses instance buffers holding the previous results —
+      // exactly the state a broken overwrite would leak.
+      std::vector<std::unique_ptr<Region>> RefStorage, Storage;
+      auto RefRegions = fillRegions(Case, RefStorage);
+      auto Regions = fillRegions(Case, Storage);
+      ExecOptions RefOpts, Opts;
+      RefOpts.NumThreads = 1;
+      Opts.NumThreads = Threads;
+      for (int Round = 0; Round < 2; ++Round) {
+        RefCP.execute(RefRegions, RefOpts);
+        CP.execute(Regions, Opts);
+        Rect::forExtents(Out.shape()).forEachPoint([&](const Point &Pt) {
+          ASSERT_EQ(Regions[Out]->at(Pt), RefRegions[Out]->at(Pt))
+              << Threads << " threads, round " << Round << " at "
+              << Pt.str();
+        });
+      }
     }
-    return Regions;
-  };
-
-  // Interpreted reference (always zeroes; no overwrite mode).
-  std::vector<std::unique_ptr<Region>> RefStorage;
-  auto RefRegions = makeRegions(RefStorage);
-  CompiledPlan RefCP(P, defaultMapper(), LeafStrategy::Interpreted);
-  ExecOptions RefOpts;
-  RefOpts.NumThreads = 1;
-  RefCP.execute(RefRegions, RefOpts);
-
-  // Compiled with zero-skip, executed twice: the second execution reuses
-  // instance buffers holding the previous results — exactly the state a
-  // broken overwrite would leak.
-  std::vector<std::unique_ptr<Region>> Storage;
-  auto Regions = makeRegions(Storage);
-  ExecOptions Opts;
-  Opts.NumThreads = 8;
-  for (int Round = 0; Round < 2; ++Round) {
-    CP.execute(Regions, Opts);
-    Rect::forExtents(A.shape()).forEachPoint([&](const Point &Pt) {
-      ASSERT_EQ(Regions[A]->at(Pt), RefRegions[A]->at(Pt))
-          << "round " << Round << " at " << Pt.str();
-    });
   }
 
   // A reducing statement must never skip its zero.

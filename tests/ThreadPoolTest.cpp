@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -154,6 +155,27 @@ TEST(ThreadPool, InlineScopeForcesSerial) {
     EXPECT_EQ(std::this_thread::get_id(), Caller);
   });
   EXPECT_EQ(Pool.liveWorkerHighWater(), 0);
+}
+
+// Strict DISTAL_NUM_THREADS parsing: anything but a positive int is
+// ignored (0 = use the hardware concurrency) and reported as one warning
+// line naming the variable; unset and empty are plain "unset".
+TEST(ThreadPool, ParseNumThreadsEnvRejectsMalformedValues) {
+  for (const char *Bad : {"8x", "4294967297", "0", "-3"}) {
+    SCOPED_TRACE(Bad);
+    std::string W;
+    EXPECT_EQ(parseNumThreadsEnv(Bad, &W), 0);
+    EXPECT_EQ(std::count(W.begin(), W.end(), '\n'), 1) << W;
+    EXPECT_NE(W.find("DISTAL_NUM_THREADS"), std::string::npos) << W;
+  }
+  for (const char *Unset : {"", static_cast<const char *>(nullptr)}) {
+    std::string W;
+    EXPECT_EQ(parseNumThreadsEnv(Unset, &W), 0);
+    EXPECT_TRUE(W.empty()) << W;
+  }
+  std::string W;
+  EXPECT_EQ(parseNumThreadsEnv("8", &W), 8);
+  EXPECT_TRUE(W.empty()) << W;
 }
 
 TEST(ExecContext, AdaptiveSplitInvariants) {
