@@ -55,26 +55,56 @@ void runRange(const LeafParallelism &LP, int64_t N, bool Parallel,
     Body(0, N);
 }
 
-/// MR x NR register-resident micro-kernel over packed panels: Ap holds an
-/// MR-wide column-major A panel (Ap[k*MR + i]), Bp an NR-wide row-major B
-/// panel (Bp[k*NR + j]). The compile-time strides are what lets the
-/// vectorizer keep the MR x NR accumulator block in registers (4 rows x 4
-/// zmm on AVX-512) across the K loop.
+/// The widest vector the build targets, read from the compiler's ISA
+/// macros, and the register tile sized to it: TileRows x TileVecs
+/// accumulators plus TileVecs B vectors and one broadcast A value fit the
+/// 32 vector registers of AVX-512 (8 x 2 + 3 = 19) and the 16 of AVX and
+/// SSE2 (4 x 2 + 3 = 11).
+#if defined(__AVX512F__)
+constexpr int VecBytes = 64, TileRows = 2 * MR;
+#elif defined(__AVX__)
+constexpr int VecBytes = 32, TileRows = MR;
+#else
+constexpr int VecBytes = 16, TileRows = MR;
+#endif
+constexpr int TileVecs = 2;
+constexpr int VecLen = VecBytes / sizeof(double);
+/// Columns per packed B panel: one row of the register tile. It divides NR,
+/// so the panels cover exactly the full NR-wide panels of the column block.
+constexpr int64_t PanelW = TileVecs * VecLen;
+static_assert(NR % PanelW == 0 && TileRows % MR == 0,
+              "register tiles must group whole MR x NR panels");
+
+/// VecLen consecutive doubles, loaded and stored unaligned; like the
+/// compilers' own __m512d_u, it may alias the double arrays it views.
+typedef double Vec __attribute__((vector_size(VecBytes), aligned(8),
+                                  may_alias));
+
+/// Rows x PanelW register tile over packed panels: Ap holds a Rows-wide
+/// column-major A panel (Ap[k*Rows + i]), Bp a PanelW-wide row-major B panel
+/// (Bp[k*PanelW + j]). Each k loads the B row once as TileVecs vectors and
+/// reuses them across the tile's rows; with the tile sized to the register
+/// file, the accumulators never leave registers inside the k loop. Every
+/// element starts at 0, adds a*b in ascending k and is added to C once —
+/// the arithmetic of a 4 x 32 panel element, however the tile groups them.
+template <int Rows>
 inline void microKernel(double *__restrict__ C, const double *__restrict__ Ap,
                         const double *__restrict__ Bp, int64_t K,
                         int64_t LdC) {
-  double Acc[MR][NR] = {};
+  Vec Acc[Rows][TileVecs] = {};
   for (int64_t KK = 0; KK < K; ++KK) {
-    const double *__restrict__ BRow = Bp + KK * NR;
-    for (int I = 0; I < MR; ++I) {
-      double AVal = Ap[KK * MR + I];
-      for (int J = 0; J < NR; ++J)
-        Acc[I][J] += AVal * BRow[J];
+    Vec BRow[TileVecs];
+    for (int V = 0; V < TileVecs; ++V)
+      BRow[V] = *reinterpret_cast<const Vec *>(Bp + KK * PanelW + V * VecLen);
+    for (int I = 0; I < Rows; ++I) {
+      double AVal = Ap[KK * Rows + I];
+      for (int V = 0; V < TileVecs; ++V)
+        Acc[I][V] += AVal * BRow[V];
     }
   }
-  for (int I = 0; I < MR; ++I)
-    for (int J = 0; J < NR; ++J)
-      C[I * LdC + J] += Acc[I][J];
+  for (int I = 0; I < Rows; ++I)
+    for (int V = 0; V < TileVecs; ++V)
+      *reinterpret_cast<Vec *>(C + I * LdC + V * VecLen) += Acc[I][V];
 }
 
 /// Unpacked fallback for fringes narrower than the micro-kernel.
@@ -91,27 +121,38 @@ inline void edgeKernel(double *C, const double *A, const double *B, int64_t M,
     }
 }
 
-/// Rows [MLo, MHi) of one (K-block, N-block) step: pack each MR row panel
-/// of A on the worker's stack and stream the packed B panels through it.
+/// Rows [I, I + Rows) of one (K-block, N-block) step: packs the rows' A
+/// panel on the worker's stack, streams every packed B panel through the
+/// register tile, and leaves the column fringe to edgeKernel.
+template <int Rows>
+void gemmRowTile(double *C, const double *A, const double *Bp,
+                 const double *BEdge, int64_t I, int64_t FullN, int64_t N,
+                 int64_t KLen, int64_t LdC, int64_t LdA, int64_t LdB) {
+  double Ap[Rows * BlockK];
+  for (int64_t KK = 0; KK < KLen; ++KK)
+    for (int64_t R = 0; R < Rows; ++R)
+      Ap[KK * Rows + R] = A[(I + R) * LdA + KK];
+  for (int64_t J = 0; J < FullN; J += PanelW)
+    microKernel<Rows>(C + I * LdC + J, Ap, Bp + J * KLen, KLen, LdC);
+  if (FullN < N)
+    edgeKernel(C + I * LdC + FullN, A + I * LdA, BEdge + FullN, Rows,
+               N - FullN, KLen, LdC, LdA, LdB);
+}
+
+/// Rows [MLo, MHi) of one (K-block, N-block) step, in register tiles of
+/// TileRows rows, then MR rows, then an edgeKernel for the last M mod MR.
 /// Workers own disjoint C rows and the per-element accumulation order
 /// (ascending K within ascending K blocks) is independent of the split, so
 /// parallel runs are bitwise-identical to sequential ones.
 void gemmRowsPacked(double *C, const double *A, const double *Bp,
                     const double *BEdge, int64_t MLo, int64_t MHi, int64_t N,
                     int64_t KLen, int64_t LdC, int64_t LdA, int64_t LdB) {
-  double Ap[MR * BlockK];
   int64_t FullN = N - N % NR;
   int64_t I = MLo;
-  for (; I + MR <= MHi; I += MR) {
-    for (int64_t KK = 0; KK < KLen; ++KK)
-      for (int64_t R = 0; R < MR; ++R)
-        Ap[KK * MR + R] = A[(I + R) * LdA + KK];
-    for (int64_t J = 0; J + NR <= N; J += NR)
-      microKernel(C + I * LdC + J, Ap, Bp + J * KLen, KLen, LdC);
-    if (FullN < N)
-      edgeKernel(C + I * LdC + FullN, A + I * LdA, BEdge + FullN, MR,
-                 N - FullN, KLen, LdC, LdA, LdB);
-  }
+  for (; I + TileRows <= MHi; I += TileRows)
+    gemmRowTile<TileRows>(C, A, Bp, BEdge, I, FullN, N, KLen, LdC, LdA, LdB);
+  for (; I + MR <= MHi; I += MR)
+    gemmRowTile<MR>(C, A, Bp, BEdge, I, FullN, N, KLen, LdC, LdA, LdB);
   if (I < MHi)
     edgeKernel(C + I * LdC, A + I * LdA, BEdge, MHi - I, N, KLen, LdC, LdA,
                LdB);
@@ -137,10 +178,10 @@ void gemm(const LeafParallelism &LP, double *C, const double *A,
     for (int64_t K0 = 0; K0 < K; K0 += BlockK) {
       int64_t KLen = std::min(BlockK, K - K0);
       const double *BBlock = B + K0 * LdB + J0;
-      for (int64_t J = 0; J + NR <= NLen; J += NR)
+      for (int64_t J = 0; J < NLen - NLen % NR; J += PanelW)
         for (int64_t KK = 0; KK < KLen; ++KK)
-          for (int64_t R = 0; R < NR; ++R)
-            Bp[J * KLen + KK * NR + R] = BBlock[KK * LdB + J + R];
+          for (int64_t R = 0; R < PanelW; ++R)
+            Bp[J * KLen + KK * PanelW + R] = BBlock[KK * LdB + J + R];
       double *CBlock = C + J0;
       const double *ABlock = A + K0;
       // Row panels cover disjoint C rows: any split is bitwise-identical.

@@ -31,9 +31,11 @@ namespace distal {
 namespace blas {
 
 /// C[m,n] += A[m,k] * B[k,n] with row strides LdC/LdA/LdB (row-major,
-/// unit column stride). Packs A/B panels and runs a register-blocked 4x32
-/// micro-kernel; row panels fan out over \p LP when the problem is large
-/// enough.
+/// unit column stride). Packs A/B panels and runs a register-tiled
+/// micro-kernel whose vector width follows the ISA the build targets (an
+/// 8 x 16 tile of zmm accumulators with AVX-512, 4 x 8 ymm with AVX, 4 x 4
+/// xmm otherwise), with the same bytes as 4 x 32 panels in every build; row
+/// panels of 4 rows fan out over \p LP when the problem is large enough.
 void gemm(const LeafParallelism &LP, double *C, const double *A,
           const double *B, int64_t M, int64_t N, int64_t K, int64_t LdC,
           int64_t LdA, int64_t LdB);
