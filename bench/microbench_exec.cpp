@@ -5,9 +5,16 @@
 // (LeafStrategy::Interpreted + pointwise region copies), and writes the
 // results as JSON so the speedups are tracked PR over PR:
 //
-//   * leaf_mttkrp      — the general-affine leaf path (MTTKRP: 3-access
-//                        product, strided-dot innermost loop) on the Execute
-//                        backend: compiled tape vs the seed tree interpreter.
+//   * leaf_mttkrp      — the MTTKRP leaf (3-access product) on the Execute
+//                        backend: compiled (GEMMs against a Khatri-Rao
+//                        workspace, one 256-deep block at a time) vs the
+//                        seed tree interpreter.
+//   * leaf_ttm         — the TTM leaf at dim=48 rank=16, 1 thread,
+//                        steady-state executions: compiled (the (ii, j)
+//                        leaf loops collapse into the rows of one packed
+//                        GEMM) vs the seed tree interpreter. The collapse
+//                        keeps TTM's bytes here, so this gated ratio is
+//                        what notices if it stops firing.
 //   * leaf_elementwise — the power-iteration statement y(i) = x(i)*a + b at
 //                        1 thread, steady-state executions: the compiled
 //                        block-at-a-time tape vs the seed tree interpreter.
@@ -222,6 +229,37 @@ double runConfig(const Plan &P, const std::vector<TensorVar> &Tensors,
   return Ms;
 }
 
+/// Steady-state leaf timing: one prebuilt artifact per side (the seed
+/// interpreter vs the compiled leaves) over its own prebuilt regions, at 1
+/// thread with tracing off, so the leaf dominates. The sides alternate for
+/// 10 rounds (1 in --check) so a drift in host speed hits both; the best
+/// sample of each is kept, and the regions keep each side's output.
+struct SteadyLeafTimes {
+  double SeedMs = 1e300, FastMs = 1e300;
+  ProblemData SeedD, FastD;
+};
+
+SteadyLeafTimes timeSteadyLeaves(const Plan &P,
+                                 const std::vector<TensorVar> &Tensors) {
+  SteadyLeafTimes T;
+  T.SeedD = makeRegions(P, Tensors);
+  T.FastD = makeRegions(P, Tensors);
+  CompiledPlan SeedCP(P, defaultMapper(), LeafStrategy::Interpreted);
+  CompiledPlan FastCP(P);
+  ExecOptions O;
+  O.NumThreads = 1;
+  O.Mode = TraceMode::Off;
+  SeedCP.execute(T.SeedD.Regions, O); // Warm buffers outside the timing.
+  FastCP.execute(T.FastD.Regions, O);
+  for (int R = 0; R < (CheckMode ? 1 : 10); ++R) {
+    T.SeedMs = std::min(
+        T.SeedMs, bestMs(1, [&] { SeedCP.execute(T.SeedD.Regions, O); }));
+    T.FastMs = std::min(
+        T.FastMs, bestMs(1, [&] { FastCP.execute(T.FastD.Regions, O); }));
+  }
+  return T;
+}
+
 void benchLeafMttkrp() {
   HigherOrderOptions Opts;
   Opts.Dim = CheckMode ? 16 : 56;
@@ -244,11 +282,31 @@ void benchLeafMttkrp() {
          /*Gated=*/true);
 }
 
+void benchLeafTtm() {
+  // Steady state, so the leaf dominates: the collapse keeps TTM's bytes,
+  // and only this ratio drops if it stops firing.
+  HigherOrderOptions Opts;
+  Opts.Dim = 48;
+  Opts.Rank = 16;
+  Opts.Procs = 4;
+  HigherOrderProblem Prob = buildHigherOrder(HigherOrderKernel::TTM, Opts);
+  SteadyLeafTimes T = timeSteadyLeaves(Prob.P, Prob.Tensors);
+  const TensorVar &Out = Prob.Tensors[0];
+  double Diff = maxDiff(*T.SeedD.Regions[Out], *T.FastD.Regions[Out]);
+  if (Diff > 1e-9)
+    fail("leaf_ttm compiled output differs from interpreter by " +
+         std::to_string(Diff));
+  record("leaf_ttm", T.SeedMs, T.FastMs,
+         "dim=" + std::to_string(Opts.Dim) +
+             " rank=" + std::to_string(Opts.Rank) +
+             " procs=4, 1 thread, steady-state",
+         /*Gated=*/true);
+}
+
 void benchLeafElementwise() {
   // The power-iteration statement: x(i)*a + b is no pure product, so no
   // blas route fires and the compiled leaf evaluates its tape a block at a
-  // time. Both columns time steady-state executions of one prebuilt
-  // artifact over prebuilt regions, so the leaf dominates.
+  // time. Timed in steady state, so the leaf dominates.
   Coord N = CheckMode ? 4096 : Coord(1) << 18;
   TensorVar Y("y", {N}), X("x", {N});
   IndexVar I("i"), Io("io"), Ii("ii");
@@ -257,28 +315,13 @@ void benchLeafElementwise() {
   S.distribute({I}, {Io}, {Ii}, std::vector<int>{4}).communicate({Y, X}, Io);
   Format F({ModeKind::Dense}, TensorDistribution::parse("x->x"));
   Plan P = lower(S.takeNest(), Machine::grid({4}), {{Y, F}, {X, F}});
-  ProblemData SeedD = makeRegions(P, {Y, X}), FastD = makeRegions(P, {Y, X});
-  CompiledPlan SeedCP(P, defaultMapper(), LeafStrategy::Interpreted);
-  CompiledPlan FastCP(P);
-  ExecOptions O;
-  O.NumThreads = 1;
-  O.Mode = TraceMode::Off;
-  SeedCP.execute(SeedD.Regions, O); // Warm buffers outside the timing.
-  FastCP.execute(FastD.Regions, O);
-  // Alternate the samples so a drift in host speed hits both columns.
-  double SeedMs = 1e300, FastMs = 1e300;
-  for (int R = 0; R < (CheckMode ? 1 : 10); ++R) {
-    SeedMs = std::min(SeedMs,
-                      bestMs(1, [&] { SeedCP.execute(SeedD.Regions, O); }));
-    FastMs = std::min(FastMs,
-                      bestMs(1, [&] { FastCP.execute(FastD.Regions, O); }));
-  }
+  SteadyLeafTimes T = timeSteadyLeaves(P, {Y, X});
   // Exact: nothing on either side reassociates.
-  double Diff = maxDiff(*SeedD.Regions[Y], *FastD.Regions[Y]);
+  double Diff = maxDiff(*T.SeedD.Regions[Y], *T.FastD.Regions[Y]);
   if (Diff != 0)
     fail("leaf_elementwise compiled output differs from interpreter by " +
          std::to_string(Diff));
-  record("leaf_elementwise", SeedMs, FastMs,
+  record("leaf_elementwise", T.SeedMs, T.FastMs,
          "y(i) = x(i)*a + b n=" + std::to_string(N) +
              " procs=4, 1 thread, steady-state",
          /*Gated=*/true);
@@ -1126,6 +1169,7 @@ int main(int argc, char **argv) {
     }
   }
   benchLeafMttkrp();
+  benchLeafTtm();
   benchLeafElementwise();
   benchGather();
   benchE2EGemm();

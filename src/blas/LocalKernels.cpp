@@ -13,7 +13,7 @@ namespace blas {
 namespace {
 
 constexpr int64_t MR = 4, NR = 32;
-constexpr int64_t BlockK = 256, BlockN = 1024;
+constexpr int64_t BlockK = GemmBlockK, BlockN = 1024;
 /// Below this many multiply-adds, packing (and parallel fan-out) costs
 /// more than it buys; fall through to the unpacked blocked loop.
 constexpr int64_t PackFlopCutoff = 1 << 16;

@@ -30,12 +30,17 @@
 namespace distal {
 namespace blas {
 
+/// Depth of gemm's packed k blocks: the register tile sums an element's
+/// products over one block from zero and adds the sum to C once per block.
+constexpr int64_t GemmBlockK = 256;
+
 /// C[m,n] += A[m,k] * B[k,n] with row strides LdC/LdA/LdB (row-major,
 /// unit column stride). Packs A/B panels and runs a register-tiled
 /// micro-kernel whose vector width follows the ISA the build targets (an
 /// 8 x 16 tile of zmm accumulators with AVX-512, 4 x 8 ymm with AVX, 4 x 4
 /// xmm otherwise), with the same bytes as 4 x 32 panels in every build; row
 /// panels of 4 rows fan out over \p LP when the problem is large enough.
+/// Below 2^16 multiply-adds or 4 rows it runs gemmBlockedReference instead.
 void gemm(const LeafParallelism &LP, double *C, const double *A,
           const double *B, int64_t M, int64_t N, int64_t K, int64_t LdC,
           int64_t LdA, int64_t LdB);
@@ -43,8 +48,10 @@ void gemm(double *C, const double *A, const double *B, int64_t M, int64_t N,
           int64_t K, int64_t LdC, int64_t LdA, int64_t LdB);
 
 /// The seed's original cache-blocked (but not register-blocked, not
-/// parallel) GEMM, kept as the kernel of the Interpreted executor strategy
-/// so benchmarks measure the engine against a faithful seed configuration.
+/// parallel) GEMM: every product adds straight into C, in ascending k. It
+/// is gemm's path below the pack cutoff (2^16 multiply-adds) and below 4
+/// rows, and the GEMM leaf of the Interpreted executor strategy, so
+/// benchmarks measure the engine against a faithful seed configuration.
 void gemmBlockedReference(double *C, const double *A, const double *B,
                           int64_t M, int64_t N, int64_t K, int64_t LdC,
                           int64_t LdA, int64_t LdB);

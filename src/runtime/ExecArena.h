@@ -39,7 +39,8 @@ namespace distal {
 struct ExecArena {
   /// Reusable per-task execution state: instance buffers sized at compile
   /// time (max rectangle volume over all phases) and the leaf engine whose
-  /// affine structure persists across steps and executions.
+  /// affine structure (and Khatri-Rao workspace, on its own governor
+  /// ledger) persists across steps and executions.
   struct TaskExec {
     std::map<IndexVar, Coord> FixedVals;
     std::map<TensorVar, Instance> OwnedInsts;

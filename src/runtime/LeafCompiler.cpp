@@ -4,10 +4,13 @@
 // statement's right-hand side becomes a flat postfix tape, every access
 // offset becomes an affine function of the leaf loop variables (cached per
 // task across steps), guards are hoisted out of the innermost loop, and
-// recognisable loop structures route to blas:: kernels (GEMM for
-// matrix-multiply leaves; strided dot / axpy / sum for contraction and
-// elementwise innermost loops). Any other innermost loop evaluates the tape
-// a block of points at a time, one pass per instruction; it falls back to
+// recognisable loop structures route to blas:: kernels. Unguarded product
+// leaves go whole into the packed GEMM when their loops, after collapsing
+// adjacent loops that fuse for every access, form a matrix multiply (GEMM,
+// TTM) or an MTTKRP (GEMMs against a Khatri-Rao workspace); other leaves
+// route their innermost loop to strided dot / axpy / sum for contraction
+// and elementwise loops. Any other innermost loop evaluates the tape a
+// block of points at a time, one pass per instruction; it falls back to
 // one point at a time only when the statement needs it (per-point guards,
 // a right-hand side that reads the output).
 //
@@ -241,6 +244,8 @@ bool prepareStep(LeafEngine &E, const Plan &P,
     E.VarBase.resize(E.NumOrig);
     E.VarCoef.assign(E.NumOrig, std::vector<Coord>(E.NumLeaf, 0));
     E.AccCoef.assign(E.NumAcc, std::vector<int64_t>(E.NumLeaf, 0));
+    E.CopyCoef = E.AccCoef;
+    E.ViewCoef = E.AccCoef;
     E.AccBase.resize(E.NumAcc);
     E.AccData.resize(E.NumAcc);
     E.Stack.resize(std::max(T.MaxDepth, 1));
@@ -294,61 +299,182 @@ bool prepareStep(LeafEngine &E, const Plan &P,
     Instance *Inst = It->second;
     E.AccData[A] = Inst->data();
     std::fill(E.AccCoef[A].begin(), E.AccCoef[A].end(), 0);
+    std::fill(E.CopyCoef[A].begin(), E.CopyCoef[A].end(), 0);
+    std::fill(E.ViewCoef[A].begin(), E.ViewCoef[A].end(), 0);
     int64_t Base = 0;
     const Rect &IR = Inst->rect();
-    for (int D = 0; D < Acc.tensor().order(); ++D) {
+    const std::vector<Coord> &Shape = Acc.tensor().shape();
+    int64_t CopyStride = 1, ViewStride = 1; // Row-major, innermost first.
+    for (int D = Acc.tensor().order() - 1; D >= 0; --D) {
       int V = E.OrigIdx[Acc.indices()[D]];
       int64_t Stride = Inst->stride(D);
       Base += (E.VarBase[V] - IR.lo()[D]) * Stride;
-      for (int I = 0; I < E.NumLeaf; ++I)
+      for (int I = 0; I < E.NumLeaf; ++I) {
         E.AccCoef[A][I] += E.VarCoef[V][I] * Stride;
+        E.CopyCoef[A][I] += E.VarCoef[V][I] * CopyStride;
+        E.ViewCoef[A][I] += E.VarCoef[V][I] * ViewStride;
+      }
+      CopyStride *= std::max<Coord>(IR.hi()[D] - IR.lo()[D], 0);
+      ViewStride *= Shape[D];
     }
     E.AccBase[A] = Base;
   }
   return true;
 }
 
-/// Whole-leaf GEMM recogniser: three leaf loops computing
-/// Out[m,n] += P[m,k] * Q[k,n] under arbitrary (possibly transposed)
-/// affine strides. Fires for any coefficient pattern where each operand
-/// depends on exactly its two roles, not just the canonical layout.
-bool tryGemmLeaf(LeafEngine &E, const Tape &T, const LeafParallelism &LP) {
-  if (E.NumLeaf != 3 || E.NumAcc != 3 || E.NeedGuard || !T.PureProduct ||
-      T.ProductAccs.size() != 2 || T.ProductLit != 1.0)
-    return false;
-  const auto &OC = E.AccCoef[0];
-  int KVar = -1;
-  for (int V = 0; V < 3; ++V) {
-    if (OC[V] != 0)
+/// Whether loop \p Outer of access \p A steps exactly \p InnerExtent
+/// iterations of loop \p Inner (Coef[Outer] == InnerExtent * Coef[Inner]),
+/// so the two run as one loop of Inner's stride — in both instance layouts,
+/// so the answer never depends on whether the access is bound as a view.
+bool fuses(const LeafEngine &E, int A, int Outer, int Inner,
+           Coord InnerExtent) {
+  return E.CopyCoef[A][Outer] == InnerExtent * E.CopyCoef[A][Inner] &&
+         E.ViewCoef[A][Outer] == InnerExtent * E.ViewCoef[A][Inner];
+}
+
+/// The most collapsed loops a GEMM route uses (MTTKRP's m, n, r, s).
+constexpr int MaxRouteLoops = 4;
+
+/// The leaf loops after collapse: every maximal run of adjacent loops
+/// that fuse for every access (the output included) becomes one loop of
+/// the product extent, stepping with its innermost loop's coefficients.
+struct CollapsedLoops {
+  int Count = 0;
+  int Loop[MaxRouteLoops] = {}; ///< Innermost leaf loop: its coefficients.
+  Coord Extent[MaxRouteLoops] = {};
+  unsigned Moves[MaxRouteLoops] = {}; ///< Bit A: access A's coef is nonzero.
+
+  /// The loop that moves exactly the accesses in \p Mask, or -1.
+  int find(unsigned Mask) const {
+    for (int L = 0; L < Count; ++L)
+      if (Moves[L] == Mask)
+        return L;
+    return -1;
+  }
+};
+
+/// Collapses \p E's leaf loops into \p C; false when more than
+/// MaxRouteLoops remain.
+bool collapseLoops(const LeafEngine &E, CollapsedLoops &C) {
+  for (int D = 0; D < E.NumLeaf; ++D) {
+    bool Fused = D > 0;
+    for (int A = 0; Fused && A < E.NumAcc; ++A)
+      Fused = fuses(E, A, D - 1, D, E.LeafExtents[D]);
+    if (Fused) {
+      C.Loop[C.Count - 1] = D;
+      C.Extent[C.Count - 1] *= E.LeafExtents[D];
       continue;
-    if (KVar != -1)
-      return false; // Output varies along exactly two leaf vars.
-    KVar = V;
+    }
+    if (C.Count == MaxRouteLoops)
+      return false;
+    C.Loop[C.Count] = D;
+    C.Extent[C.Count] = E.LeafExtents[D];
+    ++C.Count;
   }
-  if (KVar == -1)
-    return false;
-  int X = KVar == 0 ? 1 : 0;
-  int Y = KVar == 2 ? 1 : 2;
-  int PA = T.ProductAccs[0], QA = T.ProductAccs[1];
-  const auto &PC = E.AccCoef[PA], &QC = E.AccCoef[QA];
-  if (PC[KVar] == 0 || QC[KVar] == 0)
-    return false;
-  int M = -1, N = -1;
-  if (PC[X] != 0 && PC[Y] == 0 && QC[Y] != 0 && QC[X] == 0) {
-    M = X;
-    N = Y;
-  } else if (PC[Y] != 0 && PC[X] == 0 && QC[X] != 0 && QC[Y] == 0) {
-    M = Y;
-    N = X;
-  } else {
-    return false;
-  }
-  blas::gemmGeneral(LP, E.AccData[0] + E.AccBase[0],
-                    E.AccData[PA] + E.AccBase[PA],
-                    E.AccData[QA] + E.AccBase[QA], E.LeafExtents[M],
-                    E.LeafExtents[N], E.LeafExtents[KVar], OC[M], OC[N],
-                    PC[M], PC[KVar], QC[KVar], QC[N]);
+  for (int L = 0; L < C.Count; ++L)
+    for (int A = 0; A < E.NumAcc; ++A)
+      if (E.AccCoef[A][C.Loop[L]] != 0)
+        C.Moves[L] |= 1u << A;
   return true;
+}
+
+/// Out[m,n] += P[m,(r,s)] * KR[(r,s),n] with KR[(r,s),n] = Q[r,n] * W[s,n]:
+/// the matricized MTTKRP. KR is built one blas::GemmBlockK-deep block of
+/// fused (r,s) rows at a time in the engine's workspace, and each block
+/// runs as one GEMM, in ascending order. P's r must step exactly ext(s)
+/// of its s, so P reads as an (m, r*s) matrix of stride coef(s).
+void runKhatriRaoGemm(LeafEngine &E, const LeafParallelism &LP,
+                      const CollapsedLoops &C, int P, int Q, int W, int M,
+                      int N, int R, int S) {
+  const auto &OC = E.AccCoef[0], &PC = E.AccCoef[P], &QC = E.AccCoef[Q],
+             &WC = E.AccCoef[W];
+  const int LM = C.Loop[M], LN = C.Loop[N], LR = C.Loop[R], LS = C.Loop[S];
+  const Coord ExtN = C.Extent[N], ExtS = C.Extent[S];
+  const Coord RS = C.Extent[R] * ExtS;
+  const size_t Need =
+      static_cast<size_t>(std::min(blas::GemmBlockK, RS) * ExtN);
+  if (E.Workspace.size() < Need) {
+    E.WorkspaceCharge.add(static_cast<int64_t>(Need - E.Workspace.size()) *
+                          8);
+    E.Workspace.resize(Need);
+  }
+  double *KR = E.Workspace.data();
+  const double *QBase = E.AccData[Q] + E.AccBase[Q];
+  const double *WBase = E.AccData[W] + E.AccBase[W];
+  Coord RI = 0, SI = 0; // (r, s) of fused row K0 + T.
+  for (Coord K0 = 0; K0 < RS; K0 += blas::GemmBlockK) {
+    const Coord KLen = std::min(blas::GemmBlockK, RS - K0);
+    for (Coord T = 0; T < KLen; ++T) {
+      const double *QRow = QBase + RI * QC[LR];
+      const double *WRow = WBase + SI * WC[LS];
+      double *Row = KR + T * ExtN;
+      for (Coord J = 0; J < ExtN; ++J)
+        Row[J] = QRow[J * QC[LN]] * WRow[J * WC[LN]];
+      if (++SI == ExtS) {
+        SI = 0;
+        ++RI;
+      }
+    }
+    blas::gemmGeneral(LP, E.AccData[0] + E.AccBase[0],
+                      E.AccData[P] + E.AccBase[P] + K0 * PC[LS], KR,
+                      C.Extent[M], ExtN, KLen, OC[LM], OC[LN], PC[LM], PC[LS],
+                      ExtN, 1);
+  }
+}
+
+/// Whole-leaf GEMM recogniser over the bound extents and coefficients.
+/// After collapseLoops, an unguarded leaf whose right-hand side is a plain
+/// product of accesses takes one of two routes, under arbitrary (possibly
+/// transposed) affine strides:
+///  * GEMM: two operands over three loops, Out[m,n] += P[m,k] * Q[k,n]
+///    (Cannon/SUMMA leaves; TTM, whose (ii, j) collapse into m).
+///  * Khatri-Rao: three operands over four loops, Out[m,n] +=
+///    P[m,r,s] * Q[r,n] * W[s,n] with P's (r, s) fusing (MTTKRP).
+/// Each loop's role is the set of accesses it moves. Returns false, having
+/// run nothing, for any other leaf.
+bool tryGemmLeaf(LeafEngine &E, const Tape &T, const LeafParallelism &LP) {
+  const size_t Ops = T.ProductAccs.size();
+  if (E.NeedGuard || E.ReadsOutput || !T.PureProduct || T.ProductLit != 1.0 ||
+      (Ops != 2 && Ops != 3))
+    return false;
+  CollapsedLoops C;
+  if (!collapseLoops(E, C) || C.Count != static_cast<int>(Ops) + 1)
+    return false;
+  const unsigned Out = 1u;
+  if (Ops == 2) {
+    const int P = T.ProductAccs[0], Q = T.ProductAccs[1];
+    const unsigned PB = 1u << P, QB = 1u << Q;
+    int M = C.find(Out | PB), N = C.find(Out | QB), K = C.find(PB | QB);
+    if (M < 0 || N < 0 || K < 0)
+      return false;
+    const auto &OC = E.AccCoef[0], &PC = E.AccCoef[P], &QC = E.AccCoef[Q];
+    const int LM = C.Loop[M], LN = C.Loop[N], LK = C.Loop[K];
+    blas::gemmGeneral(LP, E.AccData[0] + E.AccBase[0],
+                      E.AccData[P] + E.AccBase[P], E.AccData[Q] + E.AccBase[Q],
+                      C.Extent[M], C.Extent[N], C.Extent[K], OC[LM], OC[LN],
+                      PC[LM], PC[LK], QC[LK], QC[LN]);
+    return true;
+  }
+  // P is the operand n does not move; the other two each share one of P's
+  // contracted loops, and P's fusion order decides which one is r.
+  for (int I = 0; I < 3; ++I) {
+    const int P = T.ProductAccs[I];
+    int Q = T.ProductAccs[(I + 1) % 3], W = T.ProductAccs[(I + 2) % 3];
+    const unsigned PB = 1u << P, QB = 1u << Q, WB = 1u << W;
+    int M = C.find(Out | PB), N = C.find(Out | QB | WB);
+    int R = C.find(PB | QB), S = C.find(PB | WB);
+    if (M < 0 || N < 0 || R < 0 || S < 0)
+      continue;
+    if (!fuses(E, P, C.Loop[R], C.Loop[S], C.Extent[S])) {
+      if (!fuses(E, P, C.Loop[S], C.Loop[R], C.Extent[R]))
+        return false;
+      std::swap(Q, W);
+      std::swap(R, S);
+    }
+    runKhatriRaoGemm(E, LP, C, P, Q, W, M, N, R, S);
+    return true;
+  }
+  return false;
 }
 
 /// How the innermost leaf loop executes.

@@ -8,13 +8,17 @@
 /// (and across executions of a CompiledPlan — only the bases and instance
 /// bindings are re-derived per step, validated with one probe at the far
 /// corner of the leaf domain); guards hoist out of the innermost loop; and
-/// recognisable loop structures route to blas:: kernels (GEMM for
-/// matrix-multiply leaves, strided dot / axpy / sum for contraction and
-/// elementwise innermost loops). Any other innermost loop evaluates the
-/// tape a block of points at a time, one pass per instruction, with the
-/// same bytes as point by point; it runs one point at a time only when the
-/// statement needs it (per-point guards, a right-hand side that reads the
-/// output).
+/// recognisable loop structures route to blas:: kernels. One recogniser
+/// routes whole leaves into the packed GEMM: adjacent leaf loops that fuse
+/// for every access collapse into one (TTM's (ii, j) becomes GEMM rows),
+/// after which a matrix-multiply leaf runs as one GEMM and an MTTKRP-shaped
+/// leaf Out[m,n] += P[m,r,s] * Q[r,n] * W[s,n] runs as GEMMs against a
+/// Khatri-Rao workspace built one k block at a time. Other leaves route
+/// their innermost loop to strided dot / axpy / sum for contraction and
+/// elementwise loops, or evaluate the tape a block of points at a time, one
+/// pass per instruction, with the same bytes as point by point; the tape
+/// runs one point at a time only when the statement needs it (per-point
+/// guards, a right-hand side that reads the output).
 ///
 /// The seed per-point expression-tree interpreter survives as
 /// runInterpretedLeaf for differential tests and benchmarks.
@@ -31,6 +35,7 @@
 #include "lower/Plan.h"
 #include "runtime/Region.h"
 #include "support/ExecContext.h"
+#include "support/ResourceGovernor.h"
 
 namespace distal {
 namespace leaf {
@@ -78,6 +83,11 @@ struct LeafEngine {
   // Per-step state.
   std::vector<Coord> VarBase;
   std::vector<std::vector<int64_t>> AccCoef; ///< [acc][leaf], elements.
+  /// AccCoef under each layout an instance can take, whichever is bound: a
+  /// packed copy of its rectangle, or a view with its tensor's row-major
+  /// strides. The GEMM recogniser fuses loops only where both layouts
+  /// agree, so views on or off pick the same route (and the same bytes).
+  std::vector<std::vector<int64_t>> CopyCoef, ViewCoef;
   std::vector<int64_t> AccBase;
   std::vector<double *> AccData;
   bool NeedGuard = false;
@@ -87,6 +97,13 @@ struct LeafEngine {
   std::vector<int64_t> CurOff, RowOff;
   std::vector<Coord> CurVal;
   std::vector<Coord> Odometer;
+
+  /// The Khatri-Rao block of the MTTKRP route (one blas::GemmBlockK-deep
+  /// block of rows), sized on the route's first use and reused after; its
+  /// bytes stay charged to the governor until the arena holding the engine
+  /// dies.
+  std::vector<double> Workspace;
+  ResourceGovernor::Charge WorkspaceCharge;
 };
 
 /// Runs one leaf invocation through the compiled engine: binds this step's

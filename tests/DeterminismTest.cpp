@@ -11,7 +11,8 @@
 // operands), a placement collapsing every task onto one processor, an
 // MTTKRP plan (general affine leaves, reduction writeback), and a
 // single-task plan (all threads handed to the leaf as nested sub-range
-// jobs), diffing everything across the (task-ways x leaf-ways) grid. Also
+// jobs), TTM and MTTKRP leaves routed through the packed GEMM, diffing
+// everything across the (task-ways x leaf-ways) grid. Also
 // covers the launch-phase zero-skip for overwrite-proven leaves, over a
 // table of non-product statements whose compiled leaves (block-at-a-time
 // tape, or per point where the statement needs it) must match the per-point
@@ -280,11 +281,28 @@ TEST(Determinism, NestedSplitsCannonUnevenTiles) {
 }
 
 TEST(Determinism, NestedSplitsMttkrp) {
+  // Dim 48 is above the pack cutoff: each task's leaf runs GEMMs against
+  // its engine's Khatri-Rao workspace, one 256-deep block at a time.
+  for (auto [Dim, Rank] : {std::pair<Coord, Coord>{16, 8}, {48, 16}}) {
+    SCOPED_TRACE("dim " + std::to_string(Dim));
+    HigherOrderOptions Opts;
+    Opts.Dim = Dim;
+    Opts.Rank = Rank;
+    Opts.Procs = 4;
+    HigherOrderProblem Prob =
+        buildHigherOrder(HigherOrderKernel::MTTKRP, Opts);
+    expectDeterministicAcrossSplits(Prob.P, Prob.Tensors);
+  }
+}
+
+TEST(Determinism, NestedSplitsTtmCollapsedGemm) {
+  // Above the pack cutoff: each task's TTM leaf collapses (ii, j) into the
+  // rows of one packed 576 x 16 x 48 GEMM.
   HigherOrderOptions Opts;
-  Opts.Dim = 16;
-  Opts.Rank = 8;
+  Opts.Dim = 48;
+  Opts.Rank = 16;
   Opts.Procs = 4;
-  HigherOrderProblem Prob = buildHigherOrder(HigherOrderKernel::MTTKRP, Opts);
+  HigherOrderProblem Prob = buildHigherOrder(HigherOrderKernel::TTM, Opts);
   expectDeterministicAcrossSplits(Prob.P, Prob.Tensors);
 }
 

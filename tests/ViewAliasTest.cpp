@@ -4,8 +4,8 @@
 // binding home-resident gathers as views of Region storage (and eliding the
 // aliased output's writeback) has to produce output bitwise-identical to
 // the copy path at every thread count and task/leaf split, for rotated
-// (Cannon), broadcast (SUMMA), general-affine (MTTKRP), and fully-local
-// single-task shapes. Also covers the compile-time classification, the
+// (Cannon), broadcast (SUMMA), general-affine (MTTKRP), GEMM-routed TTM
+// and MTTKRP, and fully-local single-task shapes. Also covers the compile-time classification, the
 // gathered-byte accounting the benches report, and the safety
 // preconditions that force the copy path.
 //
@@ -114,12 +114,54 @@ TEST(ViewAlias, SummaIdentical) {
 }
 
 TEST(ViewAlias, MttkrpIdentical) {
+  // Dim 48 is above the pack cutoff: each task's leaf runs GEMMs against
+  // its engine's Khatri-Rao workspace.
+  for (auto [Dim, Rank] : {std::pair<Coord, Coord>{16, 8}, {48, 16}}) {
+    SCOPED_TRACE("dim " + std::to_string(Dim));
+    HigherOrderOptions Opts;
+    Opts.Dim = Dim;
+    Opts.Rank = Rank;
+    Opts.Procs = 4;
+    HigherOrderProblem Prob =
+        buildHigherOrder(HigherOrderKernel::MTTKRP, Opts);
+    expectViewsIdentical(Prob.P, Prob.Tensors);
+  }
+}
+
+TEST(ViewAlias, TtmCollapsedGemmIdentical) {
+  // Above the pack cutoff each task's (ii, j) leaf loops collapse into the
+  // rows of one packed GEMM, through views and copies alike.
   HigherOrderOptions Opts;
-  Opts.Dim = 16;
-  Opts.Rank = 8;
+  Opts.Dim = 48;
+  Opts.Rank = 16;
   Opts.Procs = 4;
-  HigherOrderProblem Prob = buildHigherOrder(HigherOrderKernel::MTTKRP, Opts);
+  HigherOrderProblem Prob = buildHigherOrder(HigherOrderKernel::TTM, Opts);
   expectViewsIdentical(Prob.P, Prob.Tensors);
+}
+
+TEST(ViewAlias, PartialTilesCollapseInBothLayouts) {
+  // TTM on a 2x2 grid with a 300-deep contraction: a packed copy of a
+  // 4 x 4 x n tile would let (ii, ji) fuse into GEMM rows, a view with the
+  // tensor's 8 x 8 x n strides would not, and the GEMM and the strided dot
+  // round differently past one 256-deep k block. The recogniser fuses
+  // only where both layouts agree, so views on and off take one route.
+  const Coord N = 8, K = 300, L = 32;
+  Machine M = Machine::grid({2, 2});
+  TensorVar A("A", {N, N, L}), B("B", {N, N, K}), C("C", {K, L});
+  IndexVar I("i"), J("j"), Kv("k"), Lv("l");
+  IndexVar Io("io"), Ii("ii"), Jo("jo"), Ji("ji");
+  Schedule S(Assignment(Access(A, {I, J, Lv}),
+                        Access(B, {I, J, Kv}) * Access(C, {Kv, Lv})));
+  S.distribute({I, J}, {Io, Jo}, {Ii, Ji}, std::vector<int>{2, 2})
+      .communicate({A, B, C}, Jo);
+  auto Fmt = [](int Order, const std::string &Spec) {
+    return Format(std::vector<ModeKind>(Order, ModeKind::Dense),
+                  TensorDistribution::parse(Spec));
+  };
+  Plan P = lower(S.takeNest(), M,
+                 {{A, Fmt(3, "xyz->xy")}, {B, Fmt(3, "xyz->xy")},
+                  {C, Fmt(2, "xy->**")}});
+  expectViewsIdentical(P, {A, B, C});
 }
 
 TEST(ViewAlias, UnevenTilesIdentical) {
