@@ -2,8 +2,9 @@
 //
 // Times the execution-engine hot paths introduced by the parallel phase
 // engine + compiled leaf kernels against the preserved seed implementations
-// (LeafStrategy::Interpreted + pointwise region copies), and writes the
-// results as JSON so the speedups are tracked PR over PR:
+// (tests/support's seed::Engine: interpreted leaves + pointwise region
+// copies), and writes the results as JSON so the speedups are tracked PR
+// over PR:
 //
 //   * leaf_mttkrp      — the MTTKRP leaf (3-access product) on the Execute
 //                        backend: compiled (GEMMs against a Khatri-Rao
@@ -125,6 +126,8 @@
 #include "runtime/PlanCache.h"
 #include "runtime/Region.h"
 
+#include "Seed.h"
+
 using namespace distal;
 using namespace distal::algorithms;
 
@@ -207,17 +210,21 @@ double maxDiff(const Region &A, const Region &B) {
   return Max;
 }
 
-/// Runs one executor configuration over fresh regions; returns ms and
-/// leaves the output region contents in \p OutCopy for verification.
+/// Runs one configuration over fresh regions, compile included: the seed
+/// engine when \p Seed is set, else an Executor at \p NThreads. Returns ms
+/// and leaves the output region contents in \p OutCopy for verification.
 double runConfig(const Plan &P, const std::vector<TensorVar> &Tensors,
-                 LeafStrategy S, int NThreads, int Reps,
+                 bool Seed, int NThreads, int Reps,
                  std::unique_ptr<Region> *OutCopy = nullptr) {
   double Ms = bestMs(Reps, [&] {
     ProblemData D = makeRegions(P, Tensors);
-    Executor Exec(P);
-    Exec.setLeafStrategy(S);
-    Exec.setNumThreads(NThreads);
-    Exec.run(D.Regions);
+    if (Seed) {
+      seed::Engine(P).execute(D.Regions);
+    } else {
+      Executor Exec(P);
+      Exec.setNumThreads(NThreads);
+      Exec.run(D.Regions);
+    }
     if (OutCopy) {
       const TensorVar &Out = Tensors[0];
       *OutCopy = std::make_unique<Region>(Out, P.formatOf(Out), P.M);
@@ -229,11 +236,11 @@ double runConfig(const Plan &P, const std::vector<TensorVar> &Tensors,
   return Ms;
 }
 
-/// Steady-state leaf timing: one prebuilt artifact per side (the seed
-/// interpreter vs the compiled leaves) over its own prebuilt regions, at 1
-/// thread with tracing off, so the leaf dominates. The sides alternate for
-/// 10 rounds (1 in --check) so a drift in host speed hits both; the best
-/// sample of each is kept, and the regions keep each side's output.
+/// Steady-state leaf timing: one prebuilt engine per side (the seed engine
+/// vs the compiled leaves) over its own prebuilt regions, at 1 thread with
+/// tracing off, so the leaf dominates. The sides alternate for 10 rounds
+/// (1 in --check) so a drift in host speed hits both; the best sample of
+/// each is kept, and the regions keep each side's output.
 struct SteadyLeafTimes {
   double SeedMs = 1e300, FastMs = 1e300;
   ProblemData SeedD, FastD;
@@ -244,16 +251,16 @@ SteadyLeafTimes timeSteadyLeaves(const Plan &P,
   SteadyLeafTimes T;
   T.SeedD = makeRegions(P, Tensors);
   T.FastD = makeRegions(P, Tensors);
-  CompiledPlan SeedCP(P, defaultMapper(), LeafStrategy::Interpreted);
+  seed::Engine Seed(P);
   CompiledPlan FastCP(P);
   ExecOptions O;
   O.NumThreads = 1;
   O.Mode = TraceMode::Off;
-  SeedCP.execute(T.SeedD.Regions, O); // Warm buffers outside the timing.
+  Seed.execute(T.SeedD.Regions, O.Mode); // Warm buffers outside the timing.
   FastCP.execute(T.FastD.Regions, O);
   for (int R = 0; R < (CheckMode ? 1 : 10); ++R) {
     T.SeedMs = std::min(
-        T.SeedMs, bestMs(1, [&] { SeedCP.execute(T.SeedD.Regions, O); }));
+        T.SeedMs, bestMs(1, [&] { Seed.execute(T.SeedD.Regions, O.Mode); }));
     T.FastMs = std::min(
         T.FastMs, bestMs(1, [&] { FastCP.execute(T.FastD.Regions, O); }));
   }
@@ -268,10 +275,10 @@ void benchLeafMttkrp() {
   HigherOrderProblem Prob = buildHigherOrder(HigherOrderKernel::MTTKRP, Opts);
   int Reps = CheckMode ? 1 : 3;
   std::unique_ptr<Region> SeedOut, FastOut;
-  double SeedMs = runConfig(Prob.P, Prob.Tensors, LeafStrategy::Interpreted, 1,
-                            Reps, &SeedOut);
-  double FastMs = runConfig(Prob.P, Prob.Tensors, LeafStrategy::Compiled, 1,
-                            Reps, &FastOut);
+  double SeedMs =
+      runConfig(Prob.P, Prob.Tensors, /*Seed=*/true, 1, Reps, &SeedOut);
+  double FastMs =
+      runConfig(Prob.P, Prob.Tensors, /*Seed=*/false, 1, Reps, &FastOut);
   double Diff = maxDiff(*SeedOut, *FastOut);
   if (Diff > 1e-9)
     fail("leaf_mttkrp compiled output differs from interpreter by " +
@@ -343,9 +350,9 @@ void benchGather() {
                                 "gather_strided", Strided},
                             {"gather_contig", Contig}}) {
     const distal::Rect RectV = Rect;
-    double SeedMs = bestMs(Reps, [&] { R.gatherPointwise(RectV); });
+    double SeedMs = bestMs(Reps, [&] { seed::gatherPointwise(R, RectV); });
     double FastMs = bestMs(Reps, [&] { R.gather(RectV); });
-    Instance A = R.gather(RectV), B = R.gatherPointwise(RectV);
+    Instance A = R.gather(RectV), B = seed::gatherPointwise(R, RectV);
     double Diff = 0;
     RectV.forEachPoint([&](const Point &P) {
       Diff = std::max(Diff, std::abs(A.at(P) - B.at(P)));
@@ -369,12 +376,11 @@ void benchE2EGemm() {
   std::vector<TensorVar> Tensors = {Prob.A, Prob.B, Prob.C};
   int Reps = CheckMode ? 1 : 3;
   std::unique_ptr<Region> SeedOut, Fast1Out, FastNOut;
-  double SeedMs = runConfig(Prob.P, Tensors, LeafStrategy::Interpreted, 1,
-                            Reps, &SeedOut);
+  double SeedMs = runConfig(Prob.P, Tensors, /*Seed=*/true, 1, Reps, &SeedOut);
   double Fast1Ms =
-      runConfig(Prob.P, Tensors, LeafStrategy::Compiled, 1, Reps, &Fast1Out);
-  double FastNMs = runConfig(Prob.P, Tensors, LeafStrategy::Compiled, Threads,
-                             Reps, &FastNOut);
+      runConfig(Prob.P, Tensors, /*Seed=*/false, 1, Reps, &Fast1Out);
+  double FastNMs =
+      runConfig(Prob.P, Tensors, /*Seed=*/false, Threads, Reps, &FastNOut);
   if (maxDiff(*SeedOut, *Fast1Out) > 1e-9)
     fail("e2e_gemm compiled@1 output differs from seed configuration");
   if (maxDiff(*Fast1Out, *FastNOut) != 0)

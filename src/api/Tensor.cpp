@@ -204,7 +204,7 @@ std::shared_ptr<CompiledPlan> Tensor::compileLocked(const Machine &M) {
       PlanCache::global().invalidate(MemoKey);
     }
   Plan P = lower(M);
-  std::string Key = PlanCache::keyFor(P, LeafStrategy::Compiled);
+  std::string Key = PlanCache::keyFor(P);
   MemoMachine = M.str();
   MemoKey = Key;
   if (std::shared_ptr<CompiledPlan> Cached = PlanCache::global().find(Key)) {
@@ -218,7 +218,7 @@ std::shared_ptr<CompiledPlan> Tensor::compileLocked(const Machine &M) {
 }
 
 std::string Tensor::planKey(const Machine &M) {
-  return PlanCache::keyFor(lower(M), LeafStrategy::Compiled);
+  return PlanCache::keyFor(lower(M));
 }
 
 Trace Tensor::runCompiled(CompiledPlan &CP, const Machine &M,

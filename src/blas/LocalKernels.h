@@ -50,8 +50,9 @@ void gemm(double *C, const double *A, const double *B, int64_t M, int64_t N,
 /// The seed's original cache-blocked (but not register-blocked, not
 /// parallel) GEMM: every product adds straight into C, in ascending k. It
 /// is gemm's path below the pack cutoff (2^16 multiply-adds) and below 4
-/// rows, and the GEMM leaf of the Interpreted executor strategy, so
-/// benchmarks measure the engine against a faithful seed configuration.
+/// rows. The seed reference engine in tests/support runs it as its GEMM
+/// leaf at every size, so benchmarks measure the engine against a faithful
+/// seed configuration; above the cutoff its bytes differ from gemm's.
 void gemmBlockedReference(double *C, const double *A, const double *B,
                           int64_t M, int64_t N, int64_t K, int64_t LdC,
                           int64_t LdA, int64_t LdB);

@@ -45,9 +45,8 @@
 
 using namespace distal;
 
-CompiledPlan::CompiledPlan(Plan Pl, const Mapper &Map, LeafStrategy Strategy)
-    : P(std::move(Pl)), Strategy(Strategy),
-      RhsTape(leaf::compileTape(P.Nest.Stmt.rhs())) {
+CompiledPlan::CompiledPlan(Plan Pl, const Mapper &Map)
+    : P(std::move(Pl)), RhsTape(leaf::compileTape(P.Nest.Stmt.rhs())) {
   PlanAnalysisResult R = analyzePlan(P, Map);
   Skeleton = std::move(R.Skeleton);
   Tasks = std::move(R.Tasks);
@@ -312,7 +311,6 @@ void CompiledPlan::runTask(ExecArena &A, size_t TaskIdx, const TaskWalk &W,
                            const ProgramTaskLinks *Links) const {
   const CompiledTask &CT = Tasks[TaskIdx];
   ExecArena::TaskExec &TE = A.Execs[TaskIdx];
-  bool Compiled = Strategy == LeafStrategy::Compiled;
   // Bind one recorded input gather. Aliasable gathers (and, in a linked
   // program, link-elided ones) bind a zero-copy view of Region storage;
   // the rest reset + replay the precomputed coalesced run program.
@@ -323,10 +321,7 @@ void CompiledPlan::runTask(ExecArena &A, size_t TaskIdx, const TaskWalk &W,
       W.Regions.at(G.Tensor)->bindView(Inst, G.R);
     } else {
       Inst.reset(G.R);
-      if (Compiled)
-        W.Regions.at(G.Tensor)->gatherCompiled(Inst, G.Runs, W.LeafLP);
-      else
-        W.Regions.at(G.Tensor)->gatherIntoPointwise(Inst);
+      W.Regions.at(G.Tensor)->gatherCompiled(Inst, G.Runs, W.LeafLP);
     }
     TE.Insts[G.Tensor] = &Inst;
   };
@@ -349,7 +344,7 @@ void CompiledPlan::runTask(ExecArena &A, size_t TaskIdx, const TaskWalk &W,
       W.Regions.at(G.Tensor)->bindView(Inst, G.R);
     } else {
       Inst.reset(G.R);
-      if (!(Compiled && CT.SkipOutputZero))
+      if (!CT.SkipOutputZero)
         Inst.zero();
     }
     TE.Insts[G.Tensor] = &Inst;
@@ -367,11 +362,8 @@ void CompiledPlan::runTask(ExecArena &A, size_t TaskIdx, const TaskWalk &W,
       bindInput(Gs[Gi], Links && Links->StepView[S][Gi]);
     if (CT.RunLeaf[S]) {
       FaultInjector::inject(FaultInjector::Site::Leaf, W.Fault);
-      if (Compiled)
-        leaf::runCompiledLeaf(TE.Leaf, P, TE.FixedVals, TE.Insts, RhsTape,
-                              W.LeafLP, CT.SkipOutputZero);
-      else
-        leaf::runInterpretedLeaf(P, TE.FixedVals, TE.Insts);
+      leaf::runCompiledLeaf(TE.Leaf, P, TE.FixedVals, TE.Insts, RhsTape,
+                            W.LeafLP, CT.SkipOutputZero);
     }
     A.StepsDone.fetch_add(1, std::memory_order_relaxed);
   }
@@ -402,11 +394,8 @@ Trace CompiledPlan::executeBody(ExecArena &A, const ExecutionSlot &Slot,
   ThreadLayout Layout = resolveThreads(Opts, Slot, NumTasks, A.OwnCtx, Inline);
   ensureExecState(A);
 
-  // Tasks fan out once; each runs its whole chain. Zero-copy views only
-  // for the compiled strategy: the interpreted path is the seed reference
-  // and always copies.
-  TaskWalk W{Regions, Opts.Cancel, &A.Fault, Layout.LeafLP,
-             Opts.ZeroCopyViews && Strategy == LeafStrategy::Compiled};
+  // Tasks fan out once; each runs its whole chain.
+  TaskWalk W{Regions, Opts.Cancel, &A.Fault, Layout.LeafLP, Opts.ZeroCopyViews};
   if (Layout.Pool && Layout.TaskWays > 1)
     Layout.Pool->parallelForWays(
         NumTasks, Layout.TaskWays,
@@ -427,12 +416,7 @@ Trace CompiledPlan::executeBody(ExecArena &A, const ExecutionSlot &Slot,
   Region *OutR = Regions.at(Out);
   A.HbPhase.store(2, std::memory_order_relaxed);
   Opts.Cancel.check();
-  if (Strategy != LeafStrategy::Compiled) {
-    for (ExecArena::TaskExec &TE : A.Execs) {
-      FaultInjector::inject(FaultInjector::Site::Writeback, &A.Fault);
-      OutR->reduceBackPointwise(TE.OwnedInsts.at(Out));
-    }
-  } else if (!Layout.Pool || Out.order() == 0) {
+  if (!Layout.Pool || Out.order() == 0) {
     for (ExecArena::TaskExec &TE : A.Execs) {
       const Instance &OutInst = TE.OwnedInsts.at(Out);
       if (!OutInst.isView()) {

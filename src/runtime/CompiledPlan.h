@@ -52,18 +52,6 @@ class ExecContext;
 class ExecutionSlot;
 struct ProgramTaskLinks;
 
-/// How leaf kernels execute.
-enum class LeafStrategy {
-  /// Compile the statement once per task into a flat postfix tape with
-  /// affine offset functions, route matching leaves to blas:: kernels, and
-  /// hoist guards out of the innermost loop (the default).
-  Compiled,
-  /// The seed interpreter: rebuild the affine structure every step and walk
-  /// the expression tree through recursive std::functions at every point.
-  /// Kept as a reference for benchmarks and differential tests.
-  Interpreted,
-};
-
 /// Whether an execution reports the trace. The trace itself is computed
 /// once at compile time; Full copies the skeleton out of the artifact, Off
 /// skips even the copy — the steady-state fast path for callers that
@@ -90,13 +78,13 @@ struct ExecOptions {
   /// (0 = adaptive).
   int ForceTaskWays = 0, ForceLeafWays = 0;
   TraceMode Mode = TraceMode::Full;
-  /// Zero-copy alias views (compiled-leaf strategy only). On, gathers the
-  /// compile phase proved home-resident bind the leaf directly to Region
-  /// storage — no bytes move, and an aliased output accumulator elides its
-  /// writeback too. Off forces every gather through the coalesced copy
-  /// path (the differential-testing reference). Output data is
-  /// bitwise-identical either way; like the other knobs here, flipping it
-  /// costs no recompile (the classification lives in the artifact).
+  /// Zero-copy alias views. On, gathers the compile phase proved
+  /// home-resident bind the leaf directly to Region storage — no bytes
+  /// move, and an aliased output accumulator elides its writeback too. Off
+  /// forces every gather through the coalesced copy path (the
+  /// differential-testing reference). Output data is bitwise-identical
+  /// either way; like the other knobs here, flipping it costs no recompile
+  /// (the classification lives in the artifact).
   bool ZeroCopyViews = true;
   /// Cooperative cancellation / deadline for this execution. Polled at
   /// every task's step boundaries, program node boundaries, and
@@ -186,8 +174,7 @@ class CompiledPlan {
 public:
   /// Compiles \p P for repeated execution: runs the full data-independent
   /// analysis under \p Map and records the execution program.
-  explicit CompiledPlan(Plan P, const Mapper &Map = defaultMapper(),
-                        LeafStrategy Strategy = LeafStrategy::Compiled);
+  explicit CompiledPlan(Plan P, const Mapper &Map = defaultMapper());
   ~CompiledPlan();
 
   CompiledPlan(const CompiledPlan &) = delete;
@@ -196,8 +183,6 @@ public:
   /// The artifact's own copy of the compiled Plan (immutable; staleness is
   /// managed by the PlanCache key, not by the artifact).
   const Plan &plan() const { return P; }
-  /// The leaf strategy this artifact was compiled with.
-  LeafStrategy strategy() const { return Strategy; }
 
   /// The compiled per-task programs (placement, bounds, gather rectangles
   /// and their alias classes) — immutable after construction. Exposed for
@@ -207,6 +192,11 @@ public:
   /// Number of sequential steps of the compiled program (the step-domain
   /// volume). Immutable after construction.
   int64_t stepCount() const { return static_cast<int64_t>(StepVals.size()); }
+  /// The step-loop variable values every task fixes at step \p S, in
+  /// [0, stepCount()). Immutable after construction.
+  const std::vector<std::pair<IndexVar, Coord>> &stepValues(int64_t S) const {
+    return StepVals[static_cast<size_t>(S)];
+  }
 
   /// The precomputed execution trace (messages, work, peak memory) — what
   /// Executor::simulate returns, identical to what every execution
@@ -363,7 +353,7 @@ private:
     const CancelToken &Cancel;
     FaultInjector::ExecutionScope *Fault;
     LeafParallelism LeafLP;
-    /// Zero-copy views on (compiled-leaf strategy only).
+    /// Zero-copy views on.
     bool ViewsOn;
   };
   /// One task's whole chain over \p A's state: its launch gathers, then
@@ -380,7 +370,6 @@ private:
                     const ExecOptions &Opts);
 
   Plan P;
-  LeafStrategy Strategy;
   Trace Skeleton;
   leaf::Tape RhsTape;
   std::vector<CompiledTask> Tasks;

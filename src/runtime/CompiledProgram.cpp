@@ -373,16 +373,11 @@ void CompiledProgram::runBody(ProgramArena &PA, const ExecutionSlot &Slot,
   CompiledPlan::ThreadLayout Layout = CompiledPlan::resolveThreads(
       Opts, Slot, TotalTasks, PA.OwnCtx, Inline);
 
-  // Program-level overrides require every member on the compiled-leaf
-  // strategy (the interpreted path is the copy-everything seed reference).
   // With views off the conservative barrier graph runs: no override makes
   // producer-task data final early, so every cross-statement dependency
   // must see the producer's writeback.
-  bool AllCompiled = true;
-  for (const std::shared_ptr<CompiledPlan> &M : Members)
-    AllCompiled &= M->strategy() == LeafStrategy::Compiled;
   CompiledPlan::TaskWalk W{Regions, Opts.Cancel, &PA.Fault, Layout.LeafLP,
-                           Opts.ZeroCopyViews && AllCompiled};
+                           Opts.ZeroCopyViews};
   const Graph &G = W.ViewsOn ? Linked : Barrier;
 
   if (!Layout.Pool || Layout.TaskWays <= 1) {
@@ -477,13 +472,9 @@ void CompiledProgram::runNode(ProgramArena &PA, int32_t Node,
     // within every stripe). In-place writers (per-statement alias or
     // tier-B link) are views and skip the merge.
     Region *OutR = W.Regions.at(Out);
-    bool Compiled = CP.Strategy == LeafStrategy::Compiled;
     for (ExecArena::TaskExec &TE : A.Execs) {
       const Instance &OutInst = TE.OwnedInsts.at(Out);
-      if (!Compiled) {
-        FaultInjector::inject(FaultInjector::Site::Writeback, W.Fault);
-        OutR->reduceBackPointwise(OutInst);
-      } else if (!OutInst.isView()) {
+      if (!OutInst.isView()) {
         FaultInjector::inject(FaultInjector::Site::Writeback, W.Fault);
         OutR->reduceBack(OutInst);
       }

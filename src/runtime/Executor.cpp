@@ -4,14 +4,13 @@
 // sequential analysis walk producing the trace skeleton and the gather
 // program) lives in PlanAnalysis.cpp, the persistent artifact and its
 // steady-state walk in CompiledPlan.cpp, and the leaf-kernel compiler in
-// LeafCompiler.cpp. An Executor memoizes one artifact per (plan, mapper,
-// leaf strategy) and forwards its threading knobs per run.
+// LeafCompiler.cpp. An Executor memoizes one artifact per (plan, mapper)
+// and forwards its knobs to every run. Also home to referenceExecute, the
+// engine-independent sequential reference the suites validate plans with.
 //
 //===----------------------------------------------------------------------===//
 
 #include "runtime/Executor.h"
-
-#include <functional>
 
 #include "runtime/CompiledProgram.h"
 #include "runtime/PlanAnalysis.h"
@@ -24,9 +23,21 @@ Executor::Executor(const Plan &P, const Mapper &Map) : P(P), Map(Map) {}
 Executor::~Executor() = default;
 
 CompiledPlan &Executor::compiled() {
-  if (!CP || CP->strategy() != Strategy || CP->poisoned())
-    CP = std::make_unique<CompiledPlan>(P, Map, Strategy);
+  if (!CP || CP->poisoned())
+    CP = std::make_unique<CompiledPlan>(P, Map);
   return *CP;
+}
+
+ExecOptions Executor::execOptions(TraceMode Mode) const {
+  ExecOptions Opts;
+  Opts.Ctx = ExternalCtx;
+  Opts.NumThreads = NumThreads;
+  Opts.ForceTaskWays = ForceTaskWays;
+  Opts.ForceLeafWays = ForceLeafWays;
+  Opts.Mode = Mode;
+  Opts.ZeroCopyViews = ZeroCopyViews;
+  Opts.Cancel = Cancel;
+  return Opts;
 }
 
 Trace Executor::run(const std::map<TensorVar, Region *> &Regions,
@@ -40,82 +51,12 @@ Trace Executor::run(const std::map<TensorVar, Region *> &Regions,
 
 Status Executor::tryRun(const std::map<TensorVar, Region *> &Regions,
                         Trace &Out, TraceMode Mode) {
-  Trail.clear();
-  ExecOptions Opts;
-  Opts.Ctx = ExternalCtx;
-  Opts.NumThreads = NumThreads;
-  Opts.ForceTaskWays = ForceTaskWays;
-  Opts.ForceLeafWays = ForceLeafWays;
-  Opts.Mode = Mode;
-  Opts.ZeroCopyViews = ZeroCopyViews;
-  Opts.Cancel = Cancel;
-
-  // Bad input fails identically on every rung, and a cancelled or expired
-  // execution must stay cancelled — retrying would override the caller's
-  // explicit stop (or burn the rest of a deadline that already passed).
-  auto NeverRetry = [](const Status &S) {
-    return S.code() == ErrorCode::InvalidArgument ||
-           S.code() == ErrorCode::Cancelled ||
-           S.code() == ErrorCode::DeadlineExceeded;
-  };
-
-  Status First = compiled().tryExecute(Regions, Out, Opts);
-  if (First.ok())
-    return First;
-  Trail.push_back({"as-configured", First});
-  if (NeverRetry(First))
-    return First;
-
-  // The degradation ladder: each rung removes one optimization that
-  // narrows the machinery a fault can hide in — first the zero-copy alias
-  // bindings, then the compiled leaf tapes. Every rung produces
-  // bitwise-identical output, so a success anywhere on the ladder is a
-  // full-fidelity result. compiled() is re-fetched per rung: a rung that
-  // poisons the artifact gets a fresh compile for the next one.
-  if (Opts.ZeroCopyViews) {
-    Opts.ZeroCopyViews = false;
-    Status S = compiled().tryExecute(Regions, Out, Opts);
-    Trail.push_back({"zero-copy-views-off", S});
-    if (S.ok() || NeverRetry(S))
-      return S;
-  }
-  if (Strategy == LeafStrategy::Compiled) {
-    // Last rung: the seed interpreter, on a temporary artifact so the
-    // memoized compiled one is not clobbered by a one-off fallback.
-    Status S;
-    try {
-      CompiledPlan Interp(P, Map, LeafStrategy::Interpreted);
-      S = Interp.tryExecute(Regions, Out, Opts);
-    } catch (...) {
-      S = statusFromCurrentException();
-    }
-    Trail.push_back({"interpreted-leaves", S});
-    if (S.ok() || NeverRetry(S))
-      return S;
-  }
-
-  // Every rung failed: surface the original error, annotated with the
-  // full degradation trail (degradationTrail() rendered end to end, the
-  // first attempt included) so the Status alone tells the whole story.
-  Status Result = First;
-  std::string TrailNote = "degradation trail:";
-  for (const RetryAttempt &A : Trail)
-    TrailNote += " rung '" + A.Rung + "': [" + A.Outcome.str() + "]";
-  Result.appendNote(TrailNote);
-  return Result;
+  return compiled().tryExecute(Regions, Out, execOptions(Mode));
 }
 
 ExecFuture Executor::submit(const std::map<TensorVar, Region *> &Regions,
                             TraceMode Mode) {
-  ExecOptions Opts;
-  Opts.Ctx = ExternalCtx;
-  Opts.NumThreads = NumThreads;
-  Opts.ForceTaskWays = ForceTaskWays;
-  Opts.ForceLeafWays = ForceLeafWays;
-  Opts.Mode = Mode;
-  Opts.ZeroCopyViews = ZeroCopyViews;
-  Opts.Cancel = Cancel;
-  return compiled().submit(Regions, Opts);
+  return compiled().submit(Regions, execOptions(Mode));
 }
 
 Trace Executor::simulate() { return compiled().trace(); }
@@ -126,44 +67,118 @@ std::vector<Message> Executor::gatherMessages(const TensorVar &T,
   return planGatherMessages(P, T, R, DstProc);
 }
 
+namespace {
+
+/// One postfix instruction of the reference right-hand side. Each Add/Mul
+/// combines its two operands exactly as the expression tree does, left
+/// operand first, so evaluation order and association are the tree's.
+struct RefOp {
+  ExprKind Kind;
+  int Acc = 0;
+  double Lit = 0;
+};
+
+void compileRef(const Expr &E, std::vector<Access> &Accs,
+                std::vector<RefOp> &Ops) {
+  switch (E.kind()) {
+  case ExprKind::Access:
+    Ops.push_back({ExprKind::Access, static_cast<int>(Accs.size()), 0});
+    Accs.push_back(E.access());
+    return;
+  case ExprKind::Literal:
+    Ops.push_back({ExprKind::Literal, 0, E.literal()});
+    return;
+  case ExprKind::Add:
+  case ExprKind::Mul:
+    compileRef(E.lhs(), Accs, Ops);
+    compileRef(E.rhs(), Accs, Ops);
+    Ops.push_back({E.kind(), 0, 0});
+    return;
+  }
+  unreachable("unknown expr kind");
+}
+
+} // namespace
+
 void distal::referenceExecute(const Assignment &Stmt,
                               const std::map<TensorVar, Region *> &Regions) {
   std::vector<IndexVar> Vars = Stmt.defaultLoopOrder();
   std::map<IndexVar, Coord> Extents = Stmt.inferDomains();
-  Region *Out = Regions.at(Stmt.lhs().tensor());
-  Out->zero();
+  Regions.at(Stmt.lhs().tensor())->zero();
 
-  std::vector<Coord> Domain;
-  for (const IndexVar &V : Vars)
-    Domain.push_back(Extents[V]);
+  int NumVars = static_cast<int>(Vars.size());
+  std::vector<Coord> Domain(NumVars);
+  std::map<IndexVar, int> VarPos;
+  for (int V = 0; V < NumVars; ++V) {
+    Domain[V] = Extents[Vars[V]];
+    VarPos[Vars[V]] = V;
+    if (Domain[V] <= 0)
+      return; // No point to evaluate.
+  }
 
-  std::map<IndexVar, Coord> Vals;
-  std::function<double(const Expr &)> Eval = [&](const Expr &E) -> double {
-    switch (E.kind()) {
-    case ExprKind::Access: {
-      std::vector<Coord> Coords;
-      for (const IndexVar &V : E.access().indices())
-        Coords.push_back(Vals.at(V));
-      return Regions.at(E.access().tensor())->at(Point(Coords));
+  // Access 0 is the output; the rest follow the right-hand side left to
+  // right. Each is resolved once per statement, ranges checked: its
+  // region's storage and, per loop variable, the element stride the access
+  // advances by when that variable steps.
+  std::vector<Access> Accs = {Stmt.lhs()};
+  std::vector<RefOp> Ops;
+  compileRef(Stmt.rhs(), Accs, Ops);
+  int NumAcc = static_cast<int>(Accs.size());
+  std::vector<double *> Data(NumAcc);
+  std::vector<std::vector<int64_t>> Coef(NumAcc,
+                                         std::vector<int64_t>(NumVars, 0));
+  for (int A = 0; A < NumAcc; ++A) {
+    Region *R = Regions.at(Accs[A].tensor());
+    const std::vector<IndexVar> &Idx = Accs[A].indices();
+    DISTAL_ASSERT(Idx.size() == R->shape().size(),
+                  "region access dimension mismatch");
+    Data[A] = R->data();
+    for (size_t D = 0; D < Idx.size(); ++D) {
+      int V = VarPos.at(Idx[D]);
+      DISTAL_ASSERT(Domain[V] <= R->shape()[D], "region access out of range");
+      Coef[A][V] += R->strides()[D];
     }
-    case ExprKind::Literal:
-      return E.literal();
-    case ExprKind::Add:
-      return Eval(E.lhs()) + Eval(E.rhs());
-    case ExprKind::Mul:
-      return Eval(E.lhs()) * Eval(E.rhs());
-    }
-    unreachable("unknown expr kind");
-  };
+  }
 
-  Rect::forExtents(Domain).forEachPoint([&](const Point &P) {
-    for (size_t I = 0; I < Vars.size(); ++I)
-      Vals[Vars[I]] = P[static_cast<int>(I)];
-    std::vector<Coord> OutCoords;
-    for (const IndexVar &V : Stmt.lhs().indices())
-      OutCoords.push_back(Vals.at(V));
-    Out->at(Point(OutCoords)) += Eval(Stmt.rhs());
-  });
+  // Row-major over the loop variables, every access offset kept
+  // incrementally; the right-hand side adds into the output point by point.
+  std::vector<double> Stack(Ops.size());
+  std::vector<int64_t> Off(NumAcc, 0);
+  std::vector<Coord> Pos(NumVars, 0);
+  for (;;) {
+    size_t Top = 0;
+    for (const RefOp &Op : Ops) {
+      switch (Op.Kind) {
+      case ExprKind::Access:
+        Stack[Top++] = Data[Op.Acc][Off[Op.Acc]];
+        break;
+      case ExprKind::Literal:
+        Stack[Top++] = Op.Lit;
+        break;
+      case ExprKind::Add:
+        --Top;
+        Stack[Top - 1] = Stack[Top - 1] + Stack[Top];
+        break;
+      case ExprKind::Mul:
+        --Top;
+        Stack[Top - 1] = Stack[Top - 1] * Stack[Top];
+        break;
+      }
+    }
+    Data[0][Off[0]] += Stack[0];
+    int V = NumVars - 1;
+    for (; V >= 0; --V) {
+      for (int A = 0; A < NumAcc; ++A)
+        Off[A] += Coef[A][V];
+      if (++Pos[V] < Domain[V])
+        break;
+      for (int A = 0; A < NumAcc; ++A)
+        Off[A] -= Domain[V] * Coef[A][V];
+      Pos[V] = 0;
+    }
+    if (V < 0)
+      return;
+  }
 }
 
 void Executor::runProgram(const std::vector<const Plan *> &Plans,

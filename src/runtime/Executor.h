@@ -85,11 +85,7 @@ public:
   /// ownership. The context must outlive the executor's runs.
   void setExecContext(ExecContext *Ctx) { ExternalCtx = Ctx; }
 
-  /// Changing the strategy after a run recompiles on the next run (the
-  /// artifact bakes the leaf tapes and gather routing).
-  void setLeafStrategy(LeafStrategy S) { Strategy = S; }
-
-  /// Zero-copy alias views (on by default for the compiled strategy):
+  /// Zero-copy alias views (on by default):
   /// gathers the compile phase proved home-resident bind leaves directly
   /// to Region storage, and an aliased output accumulator elides its
   /// writeback. Off forces every gather through the coalesced copy path.
@@ -100,10 +96,9 @@ public:
   /// Installs a cancellation/deadline token consulted by every subsequent
   /// run()/tryRun()/submit() (see CancelToken and ExecOptions::Cancel). A
   /// tripped token stops the execution at its next cancellation point with
-  /// Cancelled/DeadlineExceeded; the retry ladder never retries either
-  /// code, so a cancelled run stays cancelled. Pass a default-constructed
-  /// token to clear. The disarmed cost is one relaxed load per
-  /// cancellation point.
+  /// Cancelled/DeadlineExceeded, which run()/tryRun() return as is: a
+  /// cancelled run stays cancelled. Pass a default-constructed token to
+  /// clear. The disarmed cost is one relaxed load per cancellation point.
   void setCancelToken(CancelToken T) { Cancel = std::move(T); }
 
   /// The compiled artifact, built on first use and reused by every
@@ -115,43 +110,22 @@ public:
   /// the statement; the output region is zeroed first. The first call
   /// compiles; later calls are steady-state walks of the artifact.
   /// TraceMode::Full returns the precomputed trace; TraceMode::Off skips
-  /// even the trace copy and returns an empty trace. On failure walks the
-  /// degradation ladder (see tryRun) and throws DistalError only if every
-  /// rung fails.
+  /// even the trace copy and returns an empty trace. Throws DistalError
+  /// with tryRun's Status on failure.
   Trace run(const std::map<TensorVar, Region *> &Regions,
             TraceMode Mode = TraceMode::Full);
 
-  /// One rung of the graceful-degradation ladder tryRun walked: the
-  /// configuration tried and what it returned.
-  struct RetryAttempt {
-    std::string Rung;
-    Status Outcome;
-  };
-
-  /// Non-throwing run with graceful degradation. On a contained execution
-  /// failure, retries with progressively safer configurations —
-  /// (1) as configured, (2) zero-copy views off, (3) additionally
-  /// interpreted leaves on a temporary artifact (the compiled artifact is
-  /// not clobbered) — and returns OK from the first rung that succeeds.
-  /// InvalidArgument failures are not retried (bad input fails
-  /// identically on every rung), and neither are Cancelled or
-  /// DeadlineExceeded (a retry would override the caller's explicit stop;
-  /// see setCancelToken). If every rung fails, returns the *original*
-  /// Status with the full degradation trail rendered into one note (also
-  /// kept structured in degradationTrail()).
+  /// Non-throwing run: one CompiledPlan::tryExecute of the compiled
+  /// artifact with this executor's knobs, whose Status it returns as is.
+  /// A failure is contained per the artifact's failure contract and never
+  /// retried, so an OK result always carries the configured run's bytes.
   Status tryRun(const std::map<TensorVar, Region *> &Regions, Trace &Out,
                 TraceMode Mode = TraceMode::Full);
-
-  /// The attempts of the most recent tryRun/run, in order. Empty after a
-  /// first-rung success with no degradation.
-  const std::vector<RetryAttempt> &degradationTrail() const { return Trail; }
 
   /// Submits a run through the compiled artifact's admission queue and
   /// returns a future immediately: bounded concurrency per artifact,
   /// identical concurrent requests coalesced onto one pass, the result
-  /// (Status + trace) read via ExecFuture::wait()/trace(). Unlike
-  /// run()/tryRun(), a failed submitted execution is NOT retried down the
-  /// degradation ladder — the future carries the first error. The artifact
+  /// (Status + trace) read via ExecFuture::wait()/trace(). The artifact
   /// is owned by this executor, so the executor must outlive the returned
   /// future. Configuration knobs are snapshotted at submit time; changing
   /// them afterwards does not affect in-flight requests.
@@ -196,19 +170,18 @@ public:
                                       const Point &DstProc) const;
 
 private:
+  /// The execute-time knobs of run()/tryRun()/submit().
+  ExecOptions execOptions(TraceMode Mode) const;
+
   const Plan &P;
   const Mapper &Map;
   int NumThreads = 0;
   int ForceTaskWays = 0, ForceLeafWays = 0;
-  LeafStrategy Strategy = LeafStrategy::Compiled;
   bool ZeroCopyViews = true;
   CancelToken Cancel;
   ExecContext *ExternalCtx = nullptr;
-  /// Compile-once artifact, rebuilt only when the leaf strategy changes
-  /// or the artifact was poisoned by an uncontained failure.
+  /// Compile-once artifact, rebuilt only when it was poisoned.
   std::unique_ptr<CompiledPlan> CP;
-  /// Degradation trail of the most recent tryRun/run (see tryRun).
-  std::vector<RetryAttempt> Trail;
 };
 
 /// Sequential reference executor: runs \p Stmt directly over dense arrays

@@ -20,9 +20,6 @@
 /// runs one point at a time only when the statement needs it (per-point
 /// guards, a right-hand side that reads the output).
 ///
-/// The seed per-point expression-tree interpreter survives as
-/// runInterpretedLeaf for differential tests and benchmarks.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef DISTAL_RUNTIME_LEAFCOMPILER_H
@@ -123,12 +120,6 @@ void runCompiledLeaf(LeafEngine &E, const Plan &P,
                      const std::map<IndexVar, Coord> &FixedVals,
                      std::map<TensorVar, Instance *> &Insts, const Tape &T,
                      const LeafParallelism &LP, bool Overwrite = false);
-
-/// The seed interpreter: rebuilds the affine structure every step and walks
-/// the expression tree through recursive std::functions at every point.
-void runInterpretedLeaf(const Plan &P,
-                        const std::map<IndexVar, Coord> &FixedVals,
-                        std::map<TensorVar, Instance *> &Insts);
 
 } // namespace leaf
 } // namespace distal

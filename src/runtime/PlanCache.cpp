@@ -11,10 +11,8 @@ PlanCache &PlanCache::global() {
   return Cache;
 }
 
-std::string PlanCache::keyFor(const Plan &P, LeafStrategy Strategy) {
-  return P.fingerprint() +
-         (Strategy == LeafStrategy::Compiled ? ";leaf=compiled"
-                                             : ";leaf=interpreted");
+std::string PlanCache::keyFor(const Plan &P, LeafStrategy) {
+  return P.fingerprint();
 }
 
 void PlanCache::evictLocked() {

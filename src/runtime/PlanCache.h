@@ -8,9 +8,9 @@
 ///
 /// Keying: entries are keyed by PlanCache::keyFor — the plan's structural
 /// fingerprint (statement, schedule/provenance relations, formats, tensor
-/// shapes and identities, machine; see Plan::fingerprint) plus the leaf
-/// strategy. Execute-time knobs (thread count, task/leaf split, trace
-/// mode) are deliberately NOT part of the key: one artifact serves every
+/// shapes and identities, machine; see Plan::fingerprint). Execute-time
+/// knobs (thread count, task/leaf split, views, trace mode) are
+/// deliberately NOT part of the key: one artifact serves every
 /// configuration and results are bitwise-identical across them. Because
 /// the fingerprint includes tensor identity, recreating a tensor (or
 /// redefining its computation or schedule) naturally misses and compiles
@@ -39,13 +39,21 @@
 
 namespace distal {
 
+/// Compatibility tag for PlanCache::keyFor's second parameter: the engine
+/// has one leaf strategy, so the tag carries nothing and keyFor ignores it.
+/// perfbench's layer timing still passes it; drop the tag together with
+/// that caller at the next benchmark change.
+enum class LeafStrategy { Compiled };
+
 class PlanCache {
 public:
   /// The process-wide instance used by Tensor::evaluate.
   static PlanCache &global();
 
-  /// The cache key for compiling \p P with \p Strategy.
-  static std::string keyFor(const Plan &P, LeafStrategy Strategy);
+  /// The cache key for compiling \p P (see LeafStrategy for the ignored
+  /// tag).
+  static std::string keyFor(const Plan &P,
+                            LeafStrategy = LeafStrategy::Compiled);
 
   /// Returns the cached artifact for \p Key (refreshing its LRU position),
   /// or null. Counts a hit or miss.

@@ -402,64 +402,6 @@ void Region::writeBack(const Instance &I) {
              });
 }
 
-Instance Region::gatherPointwise(const Rect &R) const {
-  Instance I(R);
-  gatherIntoPointwise(I);
-  return I;
-}
-
-void Region::gatherIntoPointwise(Instance &I) const {
-  const Rect &R = I.rect();
-  DISTAL_ASSERT(Rect::forExtents(shape()).contains(R) || R.isEmpty(),
-                "gather rectangle outside region bounds");
-  DISTAL_ASSERT(!I.isView(), "gather into a view would clobber region "
-                             "storage");
-  // Element-by-element copy (the interpreted strategy's fallback), but with
-  // both offsets maintained incrementally by an odometer: the strides are
-  // fixed per dimension, so re-deriving them per coordinate through
-  // Point-based at() calls only burned time.
-  int Dim = R.dim();
-  if (Dim == 0) { // Scalar region: one element.
-    I.data()[0] = Data[0];
-    return;
-  }
-  if (R.isEmpty())
-    return;
-  double *Dst = I.data();
-  const double *Src = Data.data();
-  int64_t RegOff = 0;
-  for (int D = 0; D < Dim; ++D)
-    RegOff += R.lo()[D] * Strides[D];
-  Coord InnerExtent = R.hi()[Dim - 1] - R.lo()[Dim - 1];
-  std::vector<Coord> Idx(Dim > 1 ? Dim - 1 : 0, 0);
-  int64_t InstOff = 0;
-  for (;;) {
-    // Innermost dimension: both sides advance by their unit stride
-    // (row-major region => innermost region stride is 1).
-    for (Coord E = 0; E < InnerExtent; ++E)
-      Dst[InstOff + E] = Src[RegOff + E];
-    InstOff += InnerExtent;
-    int D = Dim - 2;
-    for (; D >= 0; --D) {
-      RegOff += Strides[D];
-      if (++Idx[D] < R.hi()[D] - R.lo()[D])
-        break;
-      RegOff -= (R.hi()[D] - R.lo()[D]) * Strides[D];
-      Idx[D] = 0;
-    }
-    if (D < 0)
-      break;
-  }
-}
-
-void Region::reduceBackPointwise(const Instance &I) {
-  I.rect().forEachPoint([&](const Point &P) { at(P) += I.at(P); });
-}
-
-void Region::writeBackPointwise(const Instance &I) {
-  I.rect().forEachPoint([&](const Point &P) { at(P) = I.at(P); });
-}
-
 Rect Region::ownedRect(const Point &Proc) const {
   return Fmt.distribution().ownedRect(shape(), M, Proc);
 }

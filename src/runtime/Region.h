@@ -182,7 +182,6 @@ public:
   /// rectangle — the steady-state path that reuses buffers across
   /// executions. Copied bytes are identical to the allocating overloads.
   void gatherInto(Instance &I, const LeafParallelism &LP = {}) const;
-  void gatherIntoPointwise(Instance &I) const;
   /// Replays a precomputed coalesced copy program (compileGatherRuns of
   /// \p I's rectangle against this region's shape) into an instance already
   /// reset() to that rectangle: the steady-state copy path of a
@@ -205,13 +204,6 @@ public:
   void reduceBackRows(const Instance &I, Coord RowLo, Coord RowHi);
   /// Overwrites the region contents covered by the instance.
   void writeBack(const Instance &I);
-
-  /// Reference implementations of the three copies above, walking every
-  /// point individually (the seed behaviour). Kept for differential
-  /// property tests and for benchmarking the strided fast paths.
-  Instance gatherPointwise(const Rect &R) const;
-  void reduceBackPointwise(const Instance &I);
-  void writeBackPointwise(const Instance &I);
 
   /// The rectangle owned by processor \p Proc under the home distribution.
   Rect ownedRect(const Point &Proc) const;

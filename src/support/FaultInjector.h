@@ -70,8 +70,8 @@ public:
     /// Bitmask of (1 << Site) values; allSites() covers everything.
     uint32_t SiteMask = 0;
     /// Total injections before the injector exhausts itself; < 0 means
-    /// unlimited. MaxInjections = 1 makes exactly the first eligible
-    /// arrival fail — the retry-ladder tests' "transient fault".
+    /// unlimited. MaxInjections = N makes exactly the first N eligible
+    /// arrivals fail — the tests' "transient fault".
     int64_t MaxInjections = -1;
     /// Firing behaviour; Delay sleeps instead of throwing.
     Action Act = Action::Throw;

@@ -46,14 +46,11 @@ enum class ErrorCode : uint8_t {
   /// support/FaultInjector.h).
   Injected,
   /// The caller cancelled the operation through a CancelToken (or by
-  /// dropping every copy of an unclaimed deferred future). Never retried
-  /// by the Executor degradation ladder: the caller asked for the work to
-  /// stop, so re-running it on a fallback rung would be a bug.
+  /// dropping every copy of an unclaimed deferred future).
   Cancelled,
   /// The operation's deadline passed before it completed — either while
   /// queued (it never ran) or mid-execution (it stopped at its next
-  /// cancellation point). Like
-  /// Cancelled, never retried by the degradation ladder.
+  /// cancellation point).
   DeadlineExceeded,
   /// Everything else that crossed a boundary as an exception.
   Internal,
@@ -72,8 +69,8 @@ public:
   ErrorCode code() const { return Code; }
   const std::string &message() const { return Message; }
 
-  /// Appends "; Note" to the message (for degradation trails and
-  /// containment outcomes) without losing the original code.
+  /// Appends "; Note" to the message (for containment outcomes) without
+  /// losing the original code.
   Status &appendNote(const std::string &Note) {
     Message += Message.empty() ? Note : "; " + Note;
     return *this;

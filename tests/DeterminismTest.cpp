@@ -15,8 +15,8 @@
 // everything across the (task-ways x leaf-ways) grid. Also
 // covers the launch-phase zero-skip for overwrite-proven leaves, over a
 // table of non-product statements whose compiled leaves (block-at-a-time
-// tape, or per point where the statement needs it) must match the per-point
-// interpreter byte for byte.
+// tape, or per point where the statement needs it) must match the seed's
+// per-point interpreter (distal_seed) byte for byte.
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +27,8 @@
 #include "runtime/Region.h"
 
 #include <gtest/gtest.h>
+
+#include "Seed.h"
 
 using namespace distal;
 using namespace distal::algorithms;
@@ -405,7 +407,7 @@ TEST(Determinism, ZeroSkipOverwriteLeaves) {
     SCOPED_TRACE(Case.Name);
     CompiledPlan CP(Case.P);
     EXPECT_EQ(CP.zeroSkipTaskCount(), Case.ZeroSkipTasks);
-    CompiledPlan RefCP(Case.P, defaultMapper(), LeafStrategy::Interpreted);
+    seed::Engine RefEngine(Case.P);
     const TensorVar &Out = Case.Tensors[0];
     for (int Threads : {1, 8}) {
       // Interpreted reference (always zeroes; no overwrite mode) and the
@@ -415,11 +417,10 @@ TEST(Determinism, ZeroSkipOverwriteLeaves) {
       std::vector<std::unique_ptr<Region>> RefStorage, Storage;
       auto RefRegions = fillRegions(Case, RefStorage);
       auto Regions = fillRegions(Case, Storage);
-      ExecOptions RefOpts, Opts;
-      RefOpts.NumThreads = 1;
+      ExecOptions Opts;
       Opts.NumThreads = Threads;
       for (int Round = 0; Round < 2; ++Round) {
-        RefCP.execute(RefRegions, RefOpts);
+        RefEngine.execute(RefRegions);
         CP.execute(Regions, Opts);
         Rect::forExtents(Out.shape()).forEachPoint([&](const Point &Pt) {
           ASSERT_EQ(Regions[Out]->at(Pt), RefRegions[Out]->at(Pt))

@@ -264,8 +264,7 @@ TEST(PlanCache, CachedExecutionBitwiseMatchesFreshAtEveryThreadCount) {
       ASSERT_EQ(Steady[I], FreshOut[I])
           << "threads=" << Threads << " element " << I;
     }
-    EXPECT_EQ(PlanCache::keyFor(Prob.P, LeafStrategy::Compiled),
-              PlanCache::keyFor(Fresh.plan(), LeafStrategy::Compiled))
+    EXPECT_EQ(PlanCache::keyFor(Prob.P), PlanCache::keyFor(Fresh.plan()))
         << "thread configuration must not enter the cache key";
   }
   // Pinned task/leaf splits over the same artifact.
@@ -339,7 +338,7 @@ TEST(PlanCache, LruEvictionIsBounded) {
     (*A)(I) = Expr((*B)(I)) * Expr(2.0);
     A->schedule().distribute({I}, {Io}, {Ii}, M);
     Plan P = A->lower(M);
-    std::string Key = PlanCache::keyFor(P, LeafStrategy::Compiled);
+    std::string Key = PlanCache::keyFor(P);
     Cache.put(Key, std::make_shared<CompiledPlan>(std::move(P)));
     Keys.push_back(Key);
     Hold.push_back(std::move(A));

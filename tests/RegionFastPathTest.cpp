@@ -1,8 +1,8 @@
 //===- tests/RegionFastPathTest.cpp - Strided copy vs reference *- C++ -*-===//
 //
 // Property tests for the strided gather / reduceBack / writeBack fast paths
-// (contiguous-run memcpy / vectorized loops) against the per-point
-// reference implementations, over random rectangles including empty,
+// (contiguous-run memcpy / vectorized loops) against the seed's per-point
+// reference copies (distal_seed), over random rectangles including empty,
 // full-region, and 0-dimensional cases, plus the stripe-limited
 // reduceBackRows used by the parallel writeback merge.
 //
@@ -11,6 +11,8 @@
 #include "runtime/Region.h"
 
 #include <gtest/gtest.h>
+
+#include "Seed.h"
 
 using namespace distal;
 
@@ -77,7 +79,7 @@ void checkShape(const std::vector<Coord> &Shape, uint64_t Seed, int Iters) {
 
     // gather: fast == per-point.
     Instance Fast = Src.gather(R);
-    Instance Ref = Src.gatherPointwise(R);
+    Instance Ref = seed::gatherPointwise(Src, R);
     EXPECT_EQ(Fast.rect(), Ref.rect());
     R.forEachPoint(
         [&](const Point &P) { ASSERT_EQ(Fast.at(P), Ref.at(P)); });
@@ -90,11 +92,11 @@ void checkShape(const std::vector<Coord> &Shape, uint64_t Seed, int Iters) {
     Region RefBack = makeRegion("R", Shape, Seed + 1000 + It);
 
     FastBack.reduceBack(Fast);
-    RefBack.reduceBackPointwise(Ref);
+    seed::reduceBackPointwise(RefBack, Ref);
     expectRegionsEqual(FastBack, RefBack);
 
     FastBack.writeBack(Fast);
-    RefBack.writeBackPointwise(Ref);
+    seed::writeBackPointwise(RefBack, Ref);
     expectRegionsEqual(FastBack, RefBack);
 
     // reduceBackRows partitioned over arbitrary stripes must equal one
@@ -132,16 +134,16 @@ TEST(RegionFastPath, ZeroDimScalar) {
   Region Src = makeRegion("s", {}, 7);
   Rect Scalar{Point(), Point()};
   Instance Fast = Src.gather(Scalar);
-  Instance Ref = Src.gatherPointwise(Scalar);
+  Instance Ref = seed::gatherPointwise(Src, Scalar);
   EXPECT_EQ(Fast.at(Point()), Ref.at(Point()));
 
   Fast.at(Point()) = 2.25;
   Region A = makeRegion("a", {}, 8), B = makeRegion("b", {}, 8);
   A.reduceBack(Fast);
-  B.reduceBackPointwise(Fast);
+  seed::reduceBackPointwise(B, Fast);
   EXPECT_EQ(A.at(Point()), B.at(Point()));
   A.writeBack(Fast);
-  B.writeBackPointwise(Fast);
+  seed::writeBackPointwise(B, Fast);
   EXPECT_EQ(A.at(Point()), B.at(Point()));
 
   // Scalars belong to the stripe containing row 0.

@@ -1,13 +1,14 @@
-//===- runtime/InterpretedLeaf.cpp ----------------------------*- C++ -*-===//
+//===- tests/support/InterpretedLeaf.cpp ----------------------*- C++ -*-===//
 //
 // The seed leaf implementation, kept for benchmarks and differential tests
-// (LeafStrategy::Interpreted): rebuilds the affine structure every step and
+// (seed::Engine's leaves): rebuilds the affine structure every step and
 // walks the expression tree through recursive std::functions at every
-// point. See LeafCompiler.cpp for the compiled engine that replaced it.
+// point. See src/runtime/LeafCompiler.cpp for the compiled engine that
+// replaced it.
 //
 //===----------------------------------------------------------------------===//
 
-#include "runtime/LeafCompiler.h"
+#include "Seed.h"
 
 #include <algorithm>
 #include <functional>
@@ -17,7 +18,6 @@
 #include "support/Util.h"
 
 using namespace distal;
-using namespace distal::leaf;
 
 namespace {
 
@@ -37,7 +37,7 @@ struct AffineLeaf {
 
 } // namespace
 
-void distal::leaf::runInterpretedLeaf(
+void distal::seed::runInterpretedLeaf(
     const Plan &P, const std::map<IndexVar, Coord> &FixedVals,
     std::map<TensorVar, Instance *> &Insts) {
   const Assignment &Stmt = P.Nest.Stmt;
