@@ -7,30 +7,9 @@
 
 using namespace distal;
 
-namespace {
-
-/// Program-run analogue of the evaluate family's region anchor: shared
-/// ownership of (and an execution pin on) every Region the program
-/// touches, held until the execution completes so machine-change rebuilds
-/// and tensor destruction can never free storage under a running program.
-struct ProgramRegionHold {
-  std::vector<std::shared_ptr<Region>> Regions;
-
-  void add(std::shared_ptr<Region> R) {
-    R->pin();
-    Regions.push_back(std::move(R));
-  }
-  ~ProgramRegionHold() {
-    for (const std::shared_ptr<Region> &R : Regions)
-      R->unpin();
-  }
-};
-
-} // namespace
-
 /// Everything one program run needs, built under the api mutex: the linked
 /// artifact, the materialised region map, the snapshotted options, and the
-/// region anchor.
+/// region anchor (see Tensor::pinRegions).
 struct Program::Prepared {
   std::shared_ptr<CompiledProgram> Prog;
   std::map<TensorVar, Region *> Regions;
@@ -69,16 +48,8 @@ std::shared_ptr<CompiledProgram> Program::compile(const Machine &M) {
 
   std::string PKey = PlanCache::programKeyFor(Keys);
   if (std::shared_ptr<CompiledProgram> Cached =
-          PlanCache::global().findProgram(PKey)) {
-    // A cached program holding an explicitly poisoned member must not be
-    // served (mirror of the plan-side eviction in compileLocked).
-    bool Stale = false;
-    for (size_t I = 0; I < Cached->size(); ++I)
-      Stale |= Cached->member(I).poisoned();
-    if (!Stale)
-      return Cached;
-    PlanCache::global().invalidateProgram(PKey);
-  }
+          PlanCache::global().findProgram(PKey))
+    return Cached;
   auto Prog = std::make_shared<CompiledProgram>(std::move(CPs));
   PlanCache::global().putProgram(PKey, Prog);
   return Prog;
@@ -96,28 +67,11 @@ StatusOr<std::shared_ptr<CompiledProgram>> Program::tryCompile(
 Program::Prepared Program::prepare(const Machine &M) {
   Prepared R;
   R.Prog = compile(M);
+  std::vector<const Assignment *> Chain;
+  for (size_t I = 0; I < R.Prog->size(); ++I)
+    Chain.push_back(&R.Prog->member(I).plan().Nest.Stmt);
   std::lock_guard<std::mutex> Lock(Tensor::apiMu());
-  // Materialise every tensor of the chain, in program order. A tensor
-  // whose first touch is a pure write is about to be zeroed by its
-  // statement's zero node — its old data need not survive a machine
-  // change; everything else (inputs, read-before-written tensors,
-  // outputs also read by their own statement) carries its values over.
-  std::map<TensorVar, bool> Preserve;
-  for (size_t I = 0; I < R.Prog->size(); ++I) {
-    const Assignment &Stmt = R.Prog->member(I).plan().Nest.Stmt;
-    const TensorVar &Out = Stmt.lhs().tensor();
-    for (const Access &A : Stmt.rhsAccesses())
-      Preserve.emplace(A.tensor(), true);
-    Preserve.emplace(Out, false);
-  }
-  auto Hold = std::make_shared<ProgramRegionHold>();
-  for (const auto &[TV, Keep] : Preserve) {
-    const std::shared_ptr<Region> &Rg =
-        Tensor::lookupTensor(TV).materialize(M, /*PreserveData=*/Keep);
-    R.Regions[TV] = Rg.get();
-    Hold->add(Rg);
-  }
-  R.Hold = std::move(Hold);
+  R.Hold = Tensor::pinRegions(Chain, M, R.Regions);
   R.Opts = ExecOpts;
   R.Opts.Mode = TraceMode::Off;
   return R;
@@ -132,25 +86,21 @@ void Program::evaluate(const Machine &M) {
 Status Program::tryEvaluate(const Machine &M) {
   try {
     Prepared R = prepare(M);
-    // Synchronous run; the Hold (local) keeps every region alive and
-    // pinned for the duration.
-    return R.Prog->tryExecute(R.Regions, R.Opts);
+    // Deferred, as in Tensor::evaluate: this thread claims the pass unless
+    // an identical request is already queued, which it then shares.
+    ExecFuture F = R.Prog->submit(R.Regions, R.Opts,
+                                  AdmissionQueue::Dispatch::Deferred, R.Prog,
+                                  R.Hold);
+    return F.wait();
   } catch (...) {
     return statusFromCurrentException();
   }
 }
 
-ProgramFuture Program::evaluateAsync(const Machine &M) {
+ExecFuture Program::evaluateAsync(const Machine &M) {
   Prepared R = prepare(M);
-  // The keeper anchors both the artifact (a PlanCache eviction between
-  // submit and wait must not destroy it under the pending execution) and
-  // the pinned regions, released when the execution completes.
-  struct Keeper {
-    std::shared_ptr<CompiledProgram> Prog;
-    std::shared_ptr<void> Hold;
-  };
-  auto K = std::make_shared<Keeper>();
-  K->Prog = R.Prog;
-  K->Hold = std::move(R.Hold);
-  return R.Prog->submit(R.Regions, R.Opts, std::move(K));
+  // The future anchors the artifact; the request holds the pinned regions
+  // until the execution completes (Tensor::evaluateAsync's split).
+  return R.Prog->submit(R.Regions, R.Opts,
+                        AdmissionQueue::Dispatch::Background, R.Prog, R.Hold);
 }

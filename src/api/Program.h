@@ -74,22 +74,25 @@ public:
   /// Compiles (or cache-hits) and runs the whole chain on real data;
   /// pending fills of every member tensor are applied. Output bytes of
   /// every member tensor are bitwise-identical to evaluating the members
-  /// one at a time, in order. Throws DistalError on failure.
+  /// one at a time, in order. Goes through the program's admission queue
+  /// as Tensor::evaluate does through a statement's: an identical request
+  /// not yet started is shared, and requests writing a region another one
+  /// touches are serialized. Throws DistalError on failure.
   void evaluate(const Machine &M);
 
   /// Non-throwing evaluate: a failed execution is contained inside its
-  /// program arena (CompiledProgram's failure contract) and the artifact
-  /// stays reusable.
+  /// arena (CompiledProgram's failure contract) and the artifact stays
+  /// reusable.
   Status tryEvaluate(const Machine &M);
 
-  /// Asynchronous evaluate: dispatches the program execution to the
-  /// process pool's detached lane and returns a future carrying the
-  /// latched Status. The pending execution co-owns the artifact and the
-  /// backing Regions (pinned), so the future may outlive this Program and
-  /// its tensors. Concurrent submissions sharing *input* tensors are safe
-  /// (inputs are only read); callers racing on a shared *output* tensor
-  /// must serialize themselves. Thread-safe.
-  ProgramFuture evaluateAsync(const Machine &M);
+  /// Asynchronous evaluate, Tensor::evaluateAsync's contract for a chain:
+  /// admits the execution to the program's admission queue, dispatches it
+  /// to the process pool's background lane and returns the ExecFuture.
+  /// The future keeps the artifact alive; the request holds the backing
+  /// Regions (pinned) until the execution completes, so the future may
+  /// outlive this Program and its tensors, and may be dropped unwaited.
+  /// Thread-safe.
+  ExecFuture evaluateAsync(const Machine &M);
 
 private:
   struct Prepared;

@@ -49,13 +49,14 @@ std::mutex &apiMutex() {
   return M;
 }
 
-/// The RunAnchor of one admitted evaluation: shared ownership of every
-/// Region the execution touches, plus an execution pin on each. Held by
-/// the admission request until the execution completes, so (a) the storage
-/// cannot be freed under the execution by a machine-change rebuild or a
-/// tensor's destruction, and (b) Tensor::materialize can wait for pinned()
-/// to drain before copying data out of a region a pending execution may
-/// still be writing. Deliberately does NOT own the artifact (see the
+/// The RunAnchor of one admitted evaluation, statement or program: shared
+/// ownership of every Region the execution touches, plus an execution pin
+/// on each. Held by the admission request until the execution completes,
+/// so (a) the storage cannot be freed under the execution by a
+/// machine-change rebuild or a tensor's destruction, and (b)
+/// Tensor::materialize can wait for pinned() to drain before copying data
+/// out of a region a pending execution may still be writing. Deliberately
+/// does NOT own the artifact (see the
 /// RunAnchor contract in AdmissionQueue::submit): artifact lifetime across
 /// a pending wait is the future's Keeper's job, and an artifact whose
 /// queue still holds requests shuts the queue down safely on destruction.
@@ -196,22 +197,14 @@ std::shared_ptr<CompiledPlan> Tensor::compileLocked(const Machine &M) {
   // eviction) always forces a true recompile below.
   if (!MemoKey.empty() && MemoMachine == M.str())
     if (std::shared_ptr<CompiledPlan> Cached =
-            PlanCache::global().find(MemoKey)) {
-      // A poisoned artifact (uncontained execution failure) must never be
-      // served again; evict and fall through to a true recompile.
-      if (!Cached->poisoned())
-        return Cached;
-      PlanCache::global().invalidate(MemoKey);
-    }
+            PlanCache::global().find(MemoKey))
+      return Cached;
   Plan P = lower(M);
   std::string Key = PlanCache::keyFor(P);
   MemoMachine = M.str();
   MemoKey = Key;
-  if (std::shared_ptr<CompiledPlan> Cached = PlanCache::global().find(Key)) {
-    if (!Cached->poisoned())
-      return Cached;
-    PlanCache::global().invalidate(Key);
-  }
+  if (std::shared_ptr<CompiledPlan> Cached = PlanCache::global().find(Key))
+    return Cached;
   auto CP = std::make_shared<CompiledPlan>(std::move(P));
   PlanCache::global().put(Key, CP);
   return CP;
@@ -221,30 +214,23 @@ std::string Tensor::planKey(const Machine &M) {
   return PlanCache::keyFor(lower(M));
 }
 
-Trace Tensor::runCompiled(CompiledPlan &CP, const Machine &M,
-                          TraceMode Mode) {
-  const Assignment &Stmt = CP.plan().Nest.Stmt;
-  const TensorVar &Out = Stmt.lhs().tensor();
-  bool OutIsRead = false;
-  for (const Access &A : Stmt.rhsAccesses())
-    OutIsRead |= A.tensor() == Out;
-  std::map<TensorVar, Region *> Regions;
-  // Hold the regions (pinned) for the duration of this synchronous
-  // execution, so a concurrent evaluation's machine change cannot rebuild
-  // them under us; materialisation itself needs the api mutex.
-  RegionHold Hold;
-  {
-    std::lock_guard<std::mutex> Lock(apiMutex());
-    for (const TensorVar &T : Stmt.tensors()) {
-      const std::shared_ptr<Region> &R =
-          lookup(T).materialize(M, /*PreserveData=*/T != Out || OutIsRead);
-      Regions[T] = R.get();
-      Hold.add(R);
-    }
+std::shared_ptr<void>
+Tensor::pinRegions(const std::vector<const Assignment *> &Stmts,
+                   const Machine &M, std::map<TensorVar, Region *> &Regions) {
+  std::map<TensorVar, bool> Preserve;
+  for (const Assignment *Stmt : Stmts) {
+    for (const Access &A : Stmt->rhsAccesses())
+      Preserve.emplace(A.tensor(), true);
+    Preserve.emplace(Stmt->lhs().tensor(), false);
   }
-  ExecOptions Opts = ExecOpts;
-  Opts.Mode = Mode;
-  return CP.execute(Regions, Opts);
+  auto Hold = std::make_shared<RegionHold>();
+  for (const auto &[TV, Keep] : Preserve) {
+    const std::shared_ptr<Region> &R =
+        lookup(TV).materialize(M, /*PreserveData=*/Keep);
+    Regions[TV] = R.get();
+    Hold->add(R);
+  }
+  return Hold;
 }
 
 StatusOr<std::shared_ptr<CompiledPlan>> Tensor::tryCompile(const Machine &M) {
@@ -259,19 +245,7 @@ Tensor::PreparedRun Tensor::prepareRun(const Machine &M, TraceMode Mode) {
   std::lock_guard<std::mutex> Lock(apiMutex());
   PreparedRun R;
   R.CP = compileLocked(M);
-  const Assignment &Stmt = R.CP->plan().Nest.Stmt;
-  const TensorVar &Out = Stmt.lhs().tensor();
-  bool OutIsRead = false;
-  for (const Access &A : Stmt.rhsAccesses())
-    OutIsRead |= A.tensor() == Out;
-  auto Hold = std::make_shared<RegionHold>();
-  for (const TensorVar &T : Stmt.tensors()) {
-    const std::shared_ptr<Region> &Rg =
-        lookup(T).materialize(M, /*PreserveData=*/T != Out || OutIsRead);
-    R.Regions[T] = Rg.get();
-    Hold->add(Rg);
-  }
-  R.Hold = std::move(Hold);
+  R.Hold = pinRegions({&R.CP->plan().Nest.Stmt}, M, R.Regions);
   R.Opts = ExecOpts;
   R.Opts.Mode = Mode;
   return R;
@@ -291,31 +265,14 @@ void Tensor::evaluate(const Machine &M) {
 }
 
 Status Tensor::tryEvaluate(const Machine &M) {
-  std::shared_ptr<CompiledPlan> CP;
   try {
     PreparedRun R = prepareRun(M, TraceMode::Off);
-    CP = R.CP;
     ExecFuture F = R.CP->submit(R.Regions, R.Opts,
                                 AdmissionQueue::Dispatch::Deferred, R.CP,
                                 R.Hold);
-    Status S = F.wait();
-    // Execution failures are contained per-arena; only an explicitly
-    // poisoned artifact is unusable, and it must not stay in the
-    // process-wide cache where the next compile() would find it.
-    if (!S.ok() && CP->poisoned()) {
-      std::lock_guard<std::mutex> Lock(apiMutex());
-      if (!MemoKey.empty())
-        PlanCache::global().invalidate(MemoKey);
-    }
-    return S;
+    return F.wait();
   } catch (...) {
-    Status S = statusFromCurrentException();
-    if (CP && CP->poisoned()) {
-      std::lock_guard<std::mutex> Lock(apiMutex());
-      if (!MemoKey.empty())
-        PlanCache::global().invalidate(MemoKey);
-    }
-    return S;
+    return statusFromCurrentException();
   }
 }
 
@@ -343,12 +300,21 @@ Trace Tensor::evaluateWithTrace(const Machine &M) {
 
 Trace Tensor::evaluateUncached(const Machine &M) {
   CompiledPlan CP(lower(M));
-  return runCompiled(CP, M, TraceMode::Full);
+  // The hold keeps the regions alive and pinned for this synchronous
+  // execution, so a concurrent evaluation's machine change cannot rebuild
+  // them under it; materialisation itself needs the api mutex.
+  std::map<TensorVar, Region *> Regions;
+  std::shared_ptr<void> Hold;
+  {
+    std::lock_guard<std::mutex> Lock(apiMutex());
+    Hold = pinRegions({&CP.plan().Nest.Stmt}, M, Regions);
+  }
+  ExecOptions Opts = ExecOpts;
+  Opts.Mode = TraceMode::Full;
+  return CP.execute(Regions, Opts);
 }
 
 Trace Tensor::simulateOn(const Machine &M) { return compile(M)->trace(); }
-
-Tensor &Tensor::lookupTensor(const TensorVar &V) { return lookup(V); }
 
 std::mutex &Tensor::apiMu() { return apiMutex(); }
 

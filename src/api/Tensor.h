@@ -144,10 +144,8 @@ public:
   void evaluate(const Machine &M);
 
   /// Non-throwing evaluate. A failed execution is contained inside its
-  /// arena (CompiledPlan's failure contract) — the artifact stays usable;
-  /// if the artifact was explicitly poisoned, its PlanCache entry is
-  /// evicted here so the next compile()/evaluate() recompiles instead of
-  /// serving the dead artifact. Thread-safe like evaluate().
+  /// arena (CompiledPlan's failure contract) — the artifact stays usable
+  /// and stays cached. Thread-safe like evaluate().
   Status tryEvaluate(const Machine &M);
 
   /// Asynchronous evaluate: admits the execution to the cached artifact's
@@ -228,8 +226,6 @@ private:
   /// materialisation internals the evaluate family uses.
   friend class Program;
 
-  /// Resolves \p V back to its live api::Tensor (fatal when none exists).
-  static Tensor &lookupTensor(const TensorVar &V);
   /// The process-wide mutex serializing the evaluate-family front half
   /// (compile memo + region materialisation). Never held during execution.
   static std::mutex &apiMu();
@@ -240,7 +236,15 @@ private:
   /// then rebuilds. Caller holds the api mutex.
   const std::shared_ptr<Region> &materialize(const Machine &M,
                                              bool PreserveData = true);
-  Trace runCompiled(CompiledPlan &CP, const Machine &M, TraceMode Mode);
+  /// Materialises on \p M every tensor \p Stmts touch, fills \p Regions,
+  /// and returns the run's anchor: shared ownership of, and an execution
+  /// pin on, each Region. A tensor whose first touch in statement order is
+  /// a pure write is about to be zeroed by its statement, so its old data
+  /// need not survive a machine change; every other tensor keeps its
+  /// values. Caller holds the api mutex.
+  static std::shared_ptr<void>
+  pinRegions(const std::vector<const Assignment *> &Stmts, const Machine &M,
+             std::map<TensorVar, Region *> &Regions);
   /// compile() body; caller holds the api mutex (guards the memo fields).
   std::shared_ptr<CompiledPlan> compileLocked(const Machine &M);
 

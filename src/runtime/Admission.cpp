@@ -84,11 +84,10 @@ struct AdmissionRequest {
 struct AdmissionState {
   std::mutex Mu;
   std::condition_variable CV;
-  CompiledPlan *CP = nullptr;
-  /// The statement's output tensor — its Region in a request's map is what
-  /// the execution zeroes and writes, and therefore what conflict
-  /// serialization keys on.
-  TensorVar OutVar;
+  /// The engine requests run on. Its members' outputs are what an
+  /// execution zeroes and writes, and therefore what conflict serialization
+  /// keys on.
+  ExecEngine *Engine = nullptr;
   bool Shutdown = false;
   int MaxConcurrent = 8;
   int Capacity = 64;
@@ -140,24 +139,27 @@ bool coalescibleLocked(const AdmissionRequest &R,
 }
 
 /// Whether two requests may run concurrently. Mu held. They may not when
-/// either one's output region appears anywhere in the other's map: an
-/// execution zeroes and rewrites its output region, so a shared output
-/// races byte-for-byte and an output that is another request's *input*
-/// breaks the input-immutability premise. A request missing its output
-/// entry is malformed (tryExecute will fail it); treat it as conflicting
-/// so it at least fails serially.
+/// any output region of either one (every member statement's output)
+/// appears anywhere in the other's map: an execution zeroes and rewrites
+/// its output regions, so a shared output races byte-for-byte and an
+/// output that is another request's *input* breaks the input-immutability
+/// premise. A request missing an output entry is malformed (tryExecute
+/// will fail it); treat it as conflicting so it at least fails serially.
 bool conflictsLocked(const AdmissionState &St, const AdmissionRequest &A,
                      const AdmissionRequest &B) {
-  auto ItA = A.Regions.find(St.OutVar);
-  auto ItB = B.Regions.find(St.OutVar);
-  if (ItA == A.Regions.end() || ItB == B.Regions.end())
-    return true;
-  for (const auto &KV : B.Regions)
-    if (KV.second == ItA->second)
+  for (const CompiledPlan *M : St.Engine->members()) {
+    const TensorVar &Out = M->plan().Nest.Stmt.lhs().tensor();
+    auto ItA = A.Regions.find(Out);
+    auto ItB = B.Regions.find(Out);
+    if (ItA == A.Regions.end() || ItB == B.Regions.end())
       return true;
-  for (const auto &KV : A.Regions)
-    if (KV.second == ItB->second)
-      return true;
+    for (const auto &KV : B.Regions)
+      if (KV.second == ItA->second)
+        return true;
+    for (const auto &KV : A.Regions)
+      if (KV.second == ItB->second)
+        return true;
+  }
   return false;
 }
 
@@ -288,7 +290,7 @@ void runRequest(const std::shared_ptr<AdmissionState> &St,
   bool Tripped = R->Opts.Cancel.tripped(&Pre);
   Trace T;
   Status S = Tripped ? std::move(Pre)
-                     : St->CP->tryExecute(R->Regions, T, R->Opts);
+                     : St->Engine->tryExecute(R->Regions, &T, R->Opts);
   ErrorCode EC = S.code();
   std::vector<std::shared_ptr<AdmissionRequest>> ToDispatch;
   std::vector<std::shared_ptr<void>> Anchors;
@@ -551,10 +553,9 @@ const Trace &ExecFuture::trace() {
   return R->Out;
 }
 
-AdmissionQueue::AdmissionQueue(CompiledPlan *CP)
+AdmissionQueue::AdmissionQueue(ExecEngine *E)
     : St(std::make_shared<AdmissionState>()) {
-  St->CP = CP;
-  St->OutVar = CP->plan().Nest.Stmt.lhs().tensor();
+  St->Engine = E;
   ResourceGovernor::BreakerConfig B = ResourceGovernor::breakerDefaults();
   St->BreakerK = B.Failures;
   St->BreakerCooldown = B.CooldownRejections;
@@ -567,8 +568,7 @@ AdmissionQueue::~AdmissionQueue() {
     std::unique_lock<std::mutex> L(St->Mu);
     St->Shutdown = true;
     Status Destroyed(ErrorCode::FailedPrecondition,
-                     "CompiledPlan destroyed before the admitted execution "
-                     "ran");
+                     "artifact destroyed before the admitted execution ran");
     for (const std::shared_ptr<AdmissionRequest> &R : St->Queued) {
       R->Result = Destroyed;
       Anchors.push_back(std::move(R->RunAnchor));
@@ -620,7 +620,7 @@ ExecFuture AdmissionQueue::submit(const std::map<TensorVar, Region *> &Regions,
     };
     if (St->Shutdown)
       return resolved(Status(ErrorCode::FailedPrecondition,
-                             "CompiledPlan is shutting down"));
+                             "artifact is shutting down"));
     // A token already tripped at submission resolves without admitting —
     // nothing runs, nothing holds a slot, and a deadline that expired
     // before submit behaves exactly like one that expires while queued.
@@ -702,7 +702,7 @@ ExecFuture AdmissionQueue::submit(const std::map<TensorVar, Region *> &Regions,
         St->Capacity) {
       ++St->Counters.Rejected;
       return resolved(Status(ErrorCode::ResourceExhausted,
-                             "CompiledPlan admission queue is full"));
+                             "admission queue is full"));
     }
     R = std::make_shared<AdmissionRequest>();
     R->Regions = Regions;

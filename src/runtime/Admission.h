@@ -1,12 +1,13 @@
 //===- runtime/Admission.h - Execution admission + batching ----*- C++ -*-===//
 ///
 /// \file
-/// The admission/batching front-end of a CompiledPlan: a bounded
-/// submission queue that admits up to K concurrent executions of one
-/// artifact, coalesces identical requests onto a single pass, serializes
-/// requests that share an output region but cannot coalesce, and hands
-/// every submitter an ExecFuture — a StatusOr-carrying handle resolved
-/// when the execution completes.
+/// The admission/batching front-end of a compiled artifact, statement or
+/// program alike (one per ExecEngine): a bounded submission queue that
+/// admits up to K concurrent executions of one artifact, coalesces
+/// identical requests onto a single pass, serializes requests that share
+/// an output region but cannot coalesce, and hands every submitter an
+/// ExecFuture — a StatusOr-carrying handle resolved when the execution
+/// completes.
 ///
 /// Why coalescing is sound: executions only read input regions, which the
 /// engine requires to be immutable for the duration of an execution, and
@@ -30,8 +31,9 @@
 /// Requests that share an output region (or read a region another request
 /// writes) and cannot coalesce are **serialized**: the later request
 /// queues behind the in-flight one instead of racing it on the shared
-/// output bytes. Requests over disjoint region sets run concurrently,
-/// each in its own ExecArena.
+/// output bytes. A program's outputs are every member statement's output.
+/// Requests over disjoint region sets run concurrently, each in its own
+/// ExecArena.
 ///
 /// Execution model: no dedicated dispatcher thread. A Background request
 /// is handed to the process pool's detached (communication) lane; a
@@ -87,7 +89,7 @@
 
 namespace distal {
 
-class CompiledPlan;
+class ExecEngine;
 class Region;
 struct ExecOptions;
 
@@ -154,18 +156,18 @@ private:
   /// unclaimed Deferred request auto-cancels it (see class comment).
   void drop();
   std::shared_ptr<detail::AdmissionRequest> R;
-  /// Optional lifetime anchor (e.g. the shared_ptr<CompiledPlan> of a
-  /// cached artifact) kept alive until the future is destroyed, so a
-  /// PlanCache eviction can never destroy an artifact out from under a
-  /// pending handle.
+  /// Optional lifetime anchor (e.g. the shared_ptr of a cached artifact)
+  /// kept alive until the future is destroyed, so a PlanCache eviction can
+  /// never destroy an artifact out from under a pending handle.
   std::shared_ptr<void> Keeper;
 };
 
-/// The per-artifact admission queue (owned by CompiledPlan; reach it via
-/// CompiledPlan::admission()). Thread-safe: every member may be called
-/// concurrently. Destroying the queue (i.e. the artifact) fails all
-/// not-yet-claimed requests with FailedPrecondition and waits for running
-/// executions to finish, so futures always resolve.
+/// The per-artifact admission queue (owned by the artifact's ExecEngine;
+/// reach it via admission() on CompiledPlan or CompiledProgram).
+/// Thread-safe: every member may be called concurrently. Destroying the
+/// queue (i.e. the artifact) fails all not-yet-claimed requests with
+/// FailedPrecondition and waits for running executions to finish, so
+/// futures always resolve.
 class AdmissionQueue {
 public:
   /// How a submitted request gets a worker. Background hands the request
@@ -176,7 +178,7 @@ public:
   /// immediately, avoiding a pointless dispatch round-trip).
   enum class Dispatch { Background, Deferred };
 
-  explicit AdmissionQueue(CompiledPlan *CP);
+  explicit AdmissionQueue(ExecEngine *E);
   ~AdmissionQueue();
   AdmissionQueue(const AdmissionQueue &) = delete;
   AdmissionQueue &operator=(const AdmissionQueue &) = delete;

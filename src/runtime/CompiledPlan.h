@@ -13,11 +13,11 @@
 /// the trace is (optionally) the precomputed skeleton, never re-derived.
 ///
 /// The artifact is immutable after compilation and therefore *reentrant*:
-/// every execution walks the shared compiled program with its own ExecArena
-/// (see runtime/ExecArena.h) holding all the state the walk mutates, so any
-/// number of executions — direct execute() calls or requests admitted
-/// through the per-artifact AdmissionQueue — run concurrently with no
-/// serialization. This mirrors the paper's separation between compiling a
+/// it executes as the one-member program of itself on an ExecEngine (see
+/// runtime/ExecEngine.h), every execution in its own ExecArena holding all
+/// the state the walk mutates, so any number of executions — direct
+/// execute() calls or requests admitted through the per-artifact
+/// AdmissionQueue — run concurrently with no serialization. This mirrors the paper's separation between compiling a
 /// scheduled tensor statement for a machine and repeatedly executing it:
 /// iterative workloads (power iteration, solver loops, repeated GEMM) pay
 /// analysis cost once and steady-state cost thereafter, and a cached
@@ -30,27 +30,21 @@
 
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <vector>
 
 #include "lower/Plan.h"
-#include "runtime/Admission.h"
-#include "runtime/ExecArena.h"
+#include "runtime/ExecEngine.h"
 #include "runtime/LeafCompiler.h"
 #include "runtime/Ledger.h"
 #include "runtime/Mapper.h"
 #include "runtime/Region.h"
 #include "support/CancelToken.h"
-#include "support/FaultInjector.h"
 #include "support/Status.h"
-#include "support/ThreadPool.h"
 
 namespace distal {
 
 class ExecContext;
-class ExecutionSlot;
-struct ProgramTaskLinks;
 
 /// Whether an execution reports the trace. The trace itself is computed
 /// once at compile time; Full copies the skeleton out of the artifact, Off
@@ -150,14 +144,14 @@ struct CompiledTask {
 /// Thread safety: the artifact is reentrant. The compiled program is
 /// immutable after construction, and every execution carries its mutable
 /// state (instance buffers, leaf engines, fault scope, heartbeat) in a
-/// per-execution ExecArena — pooled and reused under a small internal
-/// lock, bounded by setArenaCacheCap so the steady state allocates
-/// nothing. Any number of threads may call execute()/tryExecute()/submit()
-/// on one artifact concurrently; outputs are bitwise-identical to running
-/// the same calls serially. Concurrent executions *that share regions*
-/// should go through submit() — it coalesces result-compatible requests
-/// onto one pass and serializes the rest — rather than direct execute()
-/// calls racing on one output region.
+/// per-execution ExecArena — pooled by the artifact's ExecEngine and
+/// reused under a small internal lock, bounded by setArenaCacheCap so the
+/// steady state allocates nothing. Any number of threads may call
+/// execute()/tryExecute()/submit() on one artifact concurrently; outputs
+/// are bitwise-identical to running the same calls serially. Concurrent
+/// executions *that share regions* should go through submit() — it
+/// coalesces result-compatible requests onto one pass and serializes the
+/// rest — rather than direct execute() calls racing on one output region.
 ///
 /// Failure contract (tryExecute): when any step of an execution fails —
 /// a gather, a leaf launch, a writeback stripe, or an allocation in
@@ -261,113 +255,43 @@ public:
                         AdmissionQueue::Dispatch::Background,
                     std::shared_ptr<void> Keeper = nullptr,
                     std::shared_ptr<void> RunAnchor = nullptr) {
-    return Queue.submit(Regions, Opts, D, std::move(Keeper),
-                        std::move(RunAnchor));
+    return Engine->admission().submit(Regions, Opts, D, std::move(Keeper),
+                                      std::move(RunAnchor));
   }
 
   /// The artifact's admission/batching front-end (tuning knobs + stats).
   /// Thread-safe.
-  AdmissionQueue &admission() { return Queue; }
+  AdmissionQueue &admission() { return Engine->admission(); }
 
-  /// Arena-pool counters (see ExecArena): how executions acquired their
-  /// state, and what containment did with failed arenas. Thread-safe.
-  struct ArenaStats {
-    int64_t Created = 0;   ///< Arenas newly allocated.
-    int64_t Reused = 0;    ///< Acquisitions served from the cache.
-    int64_t Discarded = 0; ///< Failed executions' arenas thrown away.
-    int Cached = 0;        ///< Currently idle in the cache.
-  };
-  ArenaStats arenaStats() const;
+  /// Arena-pool counters (see ExecEngine::ArenaStats): how executions
+  /// acquired their state, and what containment did with failed arenas.
+  /// Thread-safe.
+  using ArenaStats = ExecEngine::ArenaStats;
+  ArenaStats arenaStats() const { return Engine->arenaStats(); }
 
-  /// Estimated resident bytes of the artifact itself (compiled tasks and
-  /// their gather programs) — what the PlanCache charges against the
-  /// ResourceGovernor budget per cached plan. Arena and Region
-  /// bytes are accounted by their own ledgers, not here, so nothing is
-  /// double-counted. Thread-safe (pure walk of immutable state).
+  /// Estimated resident bytes of the artifact itself (compiled tasks, their
+  /// gather programs and the engine's node graph) — what the PlanCache
+  /// charges against the ResourceGovernor budget per cached plan. Arena
+  /// and Region bytes are accounted by their own ledgers, not here, so
+  /// nothing is double-counted. Thread-safe (pure walk of immutable
+  /// state).
   int64_t footprintBytes() const;
 
-  /// Hang-diagnosis heartbeat: one line per execution currently inside
-  /// executeBody — its age, its phase (task walk or writeback), and how
-  /// many task-steps are done out of tasks x steps, read off the arena's
-  /// relaxed step counter. Empty when nothing is in flight. Thread-safe;
-  /// purely observational.
-  std::string stuckReport() const;
+  /// Hang-diagnosis heartbeat: one line per execution in flight — its
+  /// age, the graph nodes complete (zero node, tasks, end node) and the
+  /// task-steps done out of tasks x steps, read off the arena's relaxed
+  /// counters. Empty when nothing is in flight. Thread-safe; purely
+  /// observational.
+  std::string stuckReport() const { return Engine->stuckReport(); }
 
   /// Caps the idle-arena cache (default 4). Executions beyond the cap
   /// still run — their arenas are simply freed on release instead of
   /// cached. 0 disables reuse entirely. Thread-safe.
-  void setArenaCacheCap(int N);
-
-  /// True once the artifact was explicitly marked unusable (see
-  /// poisonForTesting): every further tryExecute returns
-  /// FailedPrecondition and the owner should drop the artifact
-  /// (PlanCache::invalidate). Execution failures never poison the
-  /// artifact; containment is per-arena.
-  /// Thread-safe.
-  bool poisoned() const;
-  /// Test hook: marks the artifact refused-for-execution, exercising the
-  /// owner-side eviction paths (Tensor::tryEvaluate evicts on this).
-  void poisonForTesting();
+  void setArenaCacheCap(int N) { Engine->setArenaCacheCap(N); }
 
 private:
-  /// CompiledProgram links member artifacts into a whole-program dataflow
-  /// graph: it reuses the per-statement exec-state builder, the thread
-  /// resolution, and the per-task walker, so it needs the internals below.
-  friend class CompiledProgram;
-
-  /// Hands out a pooled arena (or a fresh one) for one execution.
-  std::unique_ptr<ExecArena> acquireArena();
-  /// Returns a successfully-used arena to the cache (or frees it past the
-  /// cap). Failed arenas never come back here — tryExecute discards them.
-  void releaseArena(std::unique_ptr<ExecArena> A);
-  /// Builds \p A's per-task instance buffers / leaf engines on first use
-  /// (idempotent; sized at the compile-time maxima so reuse never
-  /// reallocates).
-  void ensureExecState(ExecArena &A) const;
-
-  /// How one execution spreads over threads (see resolveThreads).
-  struct ThreadLayout {
-    ThreadPool *Pool = nullptr; ///< Null: every fan-out runs inline.
-    int TaskWays = 1;           ///< Task-level fan-out width.
-    LeafParallelism LeafLP;     ///< Pool + ways budget handed to leaves.
-  };
-  /// The thread resolution of every execution, plan or program: the
-  /// configured width (Opts.Ctx, else Opts.NumThreads, else the process
-  /// default) divided by the execution census (ExecutionSlot::budget), run
-  /// on the caller's context when it has exactly that width and on
-  /// \p OwnCtx otherwise (rebuilt only when the width changes), with the
-  /// task/leaf split for \p NumTasks (or the pinned ForceTaskWays /
-  /// ForceLeafWays). At one thread \p Inline is engaged so the whole run,
-  /// nested BLAS included, stays on the calling thread. The layout only
-  /// changes scheduling, never output bytes.
-  static ThreadLayout resolveThreads(const ExecOptions &Opts,
-                                     const ExecutionSlot &Slot,
-                                     int64_t NumTasks,
-                                     std::unique_ptr<ExecContext> &OwnCtx,
-                                     std::optional<ThreadPool::InlineScope>
-                                         &Inline);
-
-  /// What one execution binds every task walk to (see runTask).
-  struct TaskWalk {
-    const std::map<TensorVar, Region *> &Regions;
-    const CancelToken &Cancel;
-    FaultInjector::ExecutionScope *Fault;
-    LeafParallelism LeafLP;
-    /// Zero-copy views on.
-    bool ViewsOn;
-  };
-  /// One task's whole chain over \p A's state: its launch gathers, then
-  /// every step's gathers and leaf, with no barrier against sibling tasks
-  /// and a cancellation check at each step boundary. \p Links, when set,
-  /// adds a linked program's view overrides on top of the per-statement
-  /// classification. Each finished step bumps A.StepsDone (heartbeat).
-  void runTask(ExecArena &A, size_t TaskIdx, const TaskWalk &W,
-               const ProgramTaskLinks *Links = nullptr) const;
-  /// The execute walk proper, entirely over \p A's state. Throws on
-  /// failure; tryExecute contains it.
-  Trace executeBody(ExecArena &A, const ExecutionSlot &Slot,
-                    const std::map<TensorVar, Region *> &Regions,
-                    const ExecOptions &Opts);
+  /// The engine walks the compiled tasks and binds the leaf tape.
+  friend class ExecEngine;
 
   Plan P;
   Trace Skeleton;
@@ -377,22 +301,11 @@ private:
   /// step (same across tasks; tasks keep private FixedVals maps).
   std::vector<std::vector<std::pair<IndexVar, Coord>>> StepVals;
 
-  /// Guards the mutable bookkeeping below — never held across an
-  /// execution, only for pool handoffs and stat reads.
-  mutable std::mutex StateMutex;
-  std::vector<std::unique_ptr<ExecArena>> FreeArenas;
-  int ArenaCacheCap = 4;
-  ArenaStats Arenas;
-  bool Poisoned = false;
-  /// Arenas currently inside executeBody (raw pointers; each is owned by
-  /// its execution frame or a containment container). stuckReport walks
-  /// this to render the heartbeat.
-  std::vector<const ExecArena *> InFlight;
-
-  /// The admission front-end. Declared last so it is destroyed *first*:
-  /// its destructor fails unclaimed requests and waits out running
-  /// executions before the compiled program and the arenas above die.
-  AdmissionQueue Queue{this};
+  /// This statement as a one-member program. Built once the analysis above
+  /// is done, and declared last so it is destroyed *first*: its admission
+  /// queue fails unclaimed requests and waits out running executions
+  /// before the compiled program above dies.
+  std::optional<ExecEngine> Engine;
 };
 
 } // namespace distal

@@ -16,7 +16,9 @@
 /// the statements one by one.
 ///
 /// The artifact co-owns its member CompiledPlans (shared_ptr), so a
-/// PlanCache eviction of a member can never invalidate a live program.
+/// PlanCache eviction of a member can never invalidate a live program. It
+/// executes on the same ExecEngine a single statement does (see
+/// runtime/ExecEngine.h): one walker, one arena pool, one admission queue.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,7 +27,7 @@
 
 #include <map>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <vector>
 
 #include "runtime/CompiledPlan.h"
@@ -33,39 +35,12 @@
 
 namespace distal {
 
-namespace detail {
-struct ProgramRunState;
-}
-
-/// Handle to one asynchronous program execution (see
-/// CompiledProgram::submit). Cheap to copy; all copies resolve to the same
-/// latched Status. A default-constructed future is invalid.
-class ProgramFuture {
-public:
-  ProgramFuture() = default;
-
-  /// False for a default-constructed handle.
-  bool valid() const { return St != nullptr; }
-
-  /// Non-blocking poll: true once the execution completed.
-  bool done() const;
-
-  /// Blocks until the execution completes and returns its Status.
-  /// Idempotent — the result is latched. Never throws.
-  const Status &wait();
-
-private:
-  friend class CompiledProgram;
-  explicit ProgramFuture(std::shared_ptr<detail::ProgramRunState> St);
-  std::shared_ptr<detail::ProgramRunState> St;
-};
-
 /// The whole-program execution artifact. Immutable after construction and
 /// therefore reentrant: concurrent tryExecute/submit calls each run in
-/// their own pooled ProgramArena (per-member ExecArenas, one fault scope,
-/// one owned context), with CompiledPlan's containment contract — a failed
-/// execution's arena is discarded, the artifact and sibling executions are
-/// untouched, and the artifact remains reusable.
+/// their own pooled ExecArena (per-member task state, one fault scope, one
+/// owned context), and a failed execution's arena is discarded — the
+/// artifact and sibling executions are untouched, and the artifact remains
+/// reusable.
 class CompiledProgram {
 public:
   /// Links \p Members (ordered, already compiled) into the program graph.
@@ -130,92 +105,56 @@ public:
   Status tryExecute(const std::map<TensorVar, Region *> &Regions,
                     const ExecOptions &Opts = {});
 
-  /// Asynchronous tryExecute on the process pool's detached lane: returns
-  /// immediately with a future that latches the execution's Status.
-  /// \p Keeper, if set, is held until the execution completes (artifact /
-  /// region lifetime anchor, mirroring AdmissionQueue::submit). Callers
-  /// racing on shared *output* regions must serialize themselves; sharing
-  /// input regions is safe (executions only read them). Thread-safe.
-  ProgramFuture submit(const std::map<TensorVar, Region *> &Regions,
-                       const ExecOptions &Opts = {},
-                       std::shared_ptr<void> Keeper = nullptr);
+  /// Submits one execution through the program's admission queue, with
+  /// CompiledPlan::submit's contract: identical not-yet-started requests
+  /// coalesce onto one pass, requests whose maps share a region any member
+  /// writes are serialized, and the ExecFuture carries the result (its
+  /// trace is the concatenated skeleton under TraceMode::Full). \p Keeper
+  /// anchors the artifact in the future; \p RunAnchor is held by the
+  /// request until its execution completes (see AdmissionQueue::submit).
+  /// Thread-safe.
+  ExecFuture submit(const std::map<TensorVar, Region *> &Regions,
+                    const ExecOptions &Opts = {},
+                    AdmissionQueue::Dispatch D =
+                        AdmissionQueue::Dispatch::Background,
+                    std::shared_ptr<void> Keeper = nullptr,
+                    std::shared_ptr<void> RunAnchor = nullptr) {
+    return Engine->admission().submit(Regions, Opts, D, std::move(Keeper),
+                                      std::move(RunAnchor));
+  }
 
-  /// Arena-pool counters, mirroring CompiledPlan::ArenaStats: how program
+  /// The program's admission/batching front-end. Thread-safe.
+  AdmissionQueue &admission() { return Engine->admission(); }
+
+  /// Arena-pool counters (CompiledPlan::ArenaStats): how program
   /// executions acquired their state and what containment did with failed
   /// arenas. Thread-safe.
-  CompiledPlan::ArenaStats arenaStats() const;
+  CompiledPlan::ArenaStats arenaStats() const { return Engine->arenaStats(); }
 
-  /// Estimated resident bytes of the linking overhead (dependency graphs,
-  /// node numbering, link records) — what the PlanCache charges per cached
-  /// program. Member artifacts are charged by their own cache entries and
-  /// arenas by their own ledgers, so nothing is double-counted.
-  /// Thread-safe (pure walk of immutable state).
+  /// Estimated resident bytes of the linking overhead (link records, and
+  /// the engine's node numbering and dependency graphs) — what the
+  /// PlanCache charges per cached program. Member artifacts are charged by
+  /// their own cache entries and arenas by their own ledgers, so nothing is
+  /// double-counted. Thread-safe (pure walk of immutable state).
   int64_t footprintBytes() const;
 
-  /// Hang-diagnosis heartbeat, mirroring CompiledPlan::stuckReport(): one
-  /// line per program execution currently inside the graph walk — how many
-  /// nodes have completed out of the program total and the execution's
-  /// age. Empty when nothing is in flight. Thread-safe.
-  std::string stuckReport() const;
+  /// Hang-diagnosis heartbeat, in CompiledPlan::stuckReport()'s format:
+  /// one line per execution in flight, with the nodes complete out of the
+  /// program total. Empty when nothing is in flight. Thread-safe.
+  std::string stuckReport() const { return Engine->stuckReport(); }
 
-  /// Caps the idle program-arena cache (default 2). Thread-safe.
-  void setArenaCacheCap(int N);
+  /// Caps the idle-arena cache (default 4). Thread-safe.
+  void setArenaCacheCap(int N) { Engine->setArenaCacheCap(N); }
 
 private:
-  /// All mutable state of one program execution: one ExecArena per member
-  /// statement (instance buffers + leaf engines, reused across program
-  /// executions), one fault-injection scope for the whole program, and the
-  /// owned context. Pooled like CompiledPlan's arenas.
-  struct ProgramArena {
-    std::vector<std::unique_ptr<ExecArena>> Arenas;
-    FaultInjector::ExecutionScope Fault;
-    std::unique_ptr<ExecContext> OwnCtx;
-    /// Heartbeat: nodes completed by the execution currently running in
-    /// this arena, and its steady-clock start (ns) — read by stuckReport.
-    std::atomic<int32_t> HbDone{0};
-    std::atomic<int64_t> HbStartNs{0};
-  };
-
-  /// One dependency graph over the program's nodes (zero / task / end per
-  /// statement). Two are precomputed: the linked graph (residency elision
-  /// active, producer-task edges) and the barrier graph (every
-  /// cross-statement edge routed through the producer's writeback node) —
-  /// the latter drives views-off executions, where no in-place write makes
-  /// producer-task data final early.
-  struct Graph {
-    std::vector<int32_t> InDeg;
-    std::vector<std::vector<int32_t>> Succs;
-  };
-
-  std::unique_ptr<ProgramArena> acquireArena();
-  void releaseArena(std::unique_ptr<ProgramArena> PA);
-  void buildGraphs();
-  void runBody(ProgramArena &PA, const ExecutionSlot &Slot,
-               const std::map<TensorVar, Region *> &Regions,
-               const ExecOptions &Opts);
-  /// Runs one node: a statement's zero, one of its tasks (the member's
-  /// per-task walker with this program's link overrides), or its
-  /// writeback. \p W carries the execution's bindings.
-  void runNode(ProgramArena &PA, int32_t Node,
-               const CompiledPlan::TaskWalk &W);
-
   std::vector<std::shared_ptr<CompiledPlan>> Members;
   ProgramLinkResult Link;
   LinkStats Links;
   CompiledPlan::DataMovementStats Movement;
   Trace Skeleton;
-  /// Node numbering: statement I with T tasks owns [NodeBase[I],
-  /// NodeBase[I] + T + 2): zero node, T task nodes, end (writeback) node.
-  std::vector<int32_t> NodeBase;
-  int32_t NumNodes = 0;
-  Graph Linked, Barrier;
-
-  mutable std::mutex StateMutex;
-  std::vector<std::unique_ptr<ProgramArena>> FreeArenas;
-  int ArenaCacheCap = 2;
-  CompiledPlan::ArenaStats Arenas;
-  /// Program arenas currently inside runBody (see stuckReport).
-  std::vector<const ProgramArena *> InFlight;
+  /// Built once the linking above is done; declared last so its admission
+  /// queue shuts down before anything it runs dies.
+  std::optional<ExecEngine> Engine;
 };
 
 } // namespace distal

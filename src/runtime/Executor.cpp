@@ -23,7 +23,7 @@ Executor::Executor(const Plan &P, const Mapper &Map) : P(P), Map(Map) {}
 Executor::~Executor() = default;
 
 CompiledPlan &Executor::compiled() {
-  if (!CP || CP->poisoned())
+  if (!CP)
     CP = std::make_unique<CompiledPlan>(P, Map);
   return *CP;
 }

@@ -102,8 +102,7 @@ public:
   void setCancelToken(CancelToken T) { Cancel = std::move(T); }
 
   /// The compiled artifact, built on first use and reused by every
-  /// subsequent run()/simulate() of this executor. A poisoned artifact
-  /// (uncontained execution failure) is dropped and recompiled here.
+  /// subsequent run()/simulate() of this executor.
   CompiledPlan &compiled();
 
   /// Runs the plan on real data. \p Regions must contain every tensor of
@@ -180,7 +179,7 @@ private:
   bool ZeroCopyViews = true;
   CancelToken Cancel;
   ExecContext *ExternalCtx = nullptr;
-  /// Compile-once artifact, rebuilt only when it was poisoned.
+  /// Compile-once artifact, built on first use.
   std::unique_ptr<CompiledPlan> CP;
 };
 

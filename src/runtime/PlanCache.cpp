@@ -126,16 +126,6 @@ void PlanCache::putProgram(const std::string &Key,
   evictLocked();
 }
 
-bool PlanCache::invalidateProgram(const std::string &Key) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  auto It = ProgramIndex.find(Key);
-  if (It == ProgramIndex.end())
-    return false;
-  ProgramLRU.erase(It->second);
-  ProgramIndex.erase(It);
-  return true;
-}
-
 size_t PlanCache::programSize() const {
   std::lock_guard<std::mutex> Lock(Mu);
   return ProgramLRU.size();
@@ -180,8 +170,8 @@ PlanCache::Stats PlanCache::stats() const {
 AdmissionQueue::Stats PlanCache::admissionStats() const {
   std::lock_guard<std::mutex> Lock(Mu);
   AdmissionQueue::Stats Agg;
-  for (const Entry &E : LRU) {
-    AdmissionQueue::Stats One = E.CP->admission().stats();
+  auto add = [&Agg](AdmissionQueue &Q) {
+    AdmissionQueue::Stats One = Q.stats();
     Agg.Admitted += One.Admitted;
     Agg.Coalesced += One.Coalesced;
     Agg.Rejected += One.Rejected;
@@ -193,6 +183,10 @@ AdmissionQueue::Stats PlanCache::admissionStats() const {
     // Per-artifact high-water marks are not additive (they may have been
     // hit at different times); the meaningful aggregate is the largest.
     Agg.PeakActive = std::max(Agg.PeakActive, One.PeakActive);
-  }
+  };
+  for (const Entry &E : LRU)
+    add(E.CP->admission());
+  for (const ProgramEntry &E : ProgramLRU)
+    add(E.CP->admission());
   return Agg;
 }

@@ -90,9 +90,6 @@ public:
   /// least recently used program entry beyond the program capacity.
   void putProgram(const std::string &Key, std::shared_ptr<CompiledProgram> CP);
 
-  /// Drops the program entry for \p Key; returns whether one existed.
-  bool invalidateProgram(const std::string &Key);
-
   /// Number of cached program artifacts.
   size_t programSize() const;
   /// Caps the program LRU (default 16).
@@ -107,10 +104,10 @@ public:
   Stats stats() const;
 
   /// Aggregated admission-queue counters over every currently cached
-  /// artifact (see AdmissionQueue::Stats): the multi-tenant view — how
-  /// many executions the cache's artifacts admitted, coalesced, rejected,
-  /// cancelled, and shed, how many submissions an open breaker refused,
-  /// and how many run right now. Counts sum across artifacts; PeakActive
+  /// artifact, plan and program alike (see AdmissionQueue::Stats): the
+  /// multi-tenant view — how many executions the cache's artifacts
+  /// admitted, coalesced, rejected, cancelled, and shed, how many
+  /// submissions an open breaker refused, and how many run right now. Counts sum across artifacts; PeakActive
   /// is the *maximum* of the per-artifact high-water marks (per-artifact
   /// peaks at different times are not additive, so a sum would overstate
   /// overlap). Evicted artifacts' counters leave the aggregate with them.

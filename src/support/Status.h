@@ -38,7 +38,7 @@ enum class ErrorCode : uint8_t {
   /// schedules, missing regions, undefined computations.
   InvalidArgument,
   /// The operation is valid but the object cannot serve it right now —
-  /// notably a poisoned execution artifact or an open circuit breaker.
+  /// notably an open circuit breaker or an artifact being destroyed.
   FailedPrecondition,
   /// Allocation failure (std::bad_alloc or an injected equivalent).
   ResourceExhausted,

@@ -127,9 +127,9 @@ public:
   };
 
   /// Submits \p Fn as a detached single-chunk job (the admission queue's
-  /// background dispatch and CompiledProgram::submit run on it). Unlike the
-  /// structured parallelFor family the submitter does not participate: it
-  /// keeps running while an idle worker picks the job up. Async jobs are
+  /// background dispatch runs on it). Unlike the structured parallelFor
+  /// family the submitter does not participate: it keeps running while an
+  /// idle worker picks the job up. Async jobs are
   /// queued ahead of structured jobs, so they are claimed the moment a
   /// worker frees up.
   /// Runs \p Fn inline (before returning) when the pool is sequential, the

@@ -248,7 +248,7 @@ TEST(Cancel, ThreadPoolParallelForHonoursToken) {
 // pre-cancelled token fails the execution with Cancelled before any work,
 // a delay-held execution trips its deadline mid-flight with
 // DeadlineExceeded, both are contained exactly like any other failure
-// (artifact unpoisoned, arena discarded), and an immediate clean
+// (arena discarded, artifact reusable), and an immediate clean
 // re-execute is bitwise-identical to the reference.
 TEST(Cancel, CancelledExecutionLeavesArtifactReusableAcrossModes) {
   MatmulProblem Prob = makeCannon();
@@ -271,7 +271,6 @@ TEST(Cancel, CancelledExecutionLeavesArtifactReusableAcrossModes) {
     EXPECT_EQ(S.code(), ErrorCode::Cancelled) << S.str();
     EXPECT_NE(S.message().find("reusable"), std::string::npos)
         << "containment note missing: " << S.str();
-    EXPECT_FALSE(CP.poisoned());
 
     // Deadline mid-execution: every leaf arrival sleeps 4ms, so the 1ms
     // deadline is guaranteed to pass while the walk is still in flight;
@@ -281,7 +280,6 @@ TEST(Cancel, CancelledExecutionLeavesArtifactReusableAcrossModes) {
       Opts.Cancel = CancelToken::withTimeout(std::chrono::milliseconds(1));
       Status DS = CP.tryExecute(Set.Regions, T, Opts);
       EXPECT_EQ(DS.code(), ErrorCode::DeadlineExceeded) << DS.str();
-      EXPECT_FALSE(CP.poisoned());
     }
 
     // Clean re-execute in the same mode: bitwise-identical bytes.
@@ -318,6 +316,17 @@ TEST(Cancel, CancelBeforeClaimNeverExecutes) {
                            AdmissionQueue::Dispatch::Deferred);
   EXPECT_TRUE(G.wait().ok()) << G.wait().str();
   EXPECT_EQ(Set.output(Prob.A), Ref.output(Prob.A));
+
+  // A program request cancelled before its claim never creates an arena.
+  ChainProblem C;
+  std::shared_ptr<CompiledProgram> Prog = compileChain(C);
+  ChainRegions R(C);
+  ExecFuture PF = Prog->submit(R.Regions, fastOpts(2),
+                               AdmissionQueue::Dispatch::Deferred);
+  PF.cancel();
+  EXPECT_EQ(PF.wait().code(), ErrorCode::Cancelled) << PF.wait().str();
+  EXPECT_EQ(Prog->admission().stats().Cancelled, 1);
+  EXPECT_EQ(Prog->arenaStats().Created + Prog->arenaStats().Reused, 0);
 }
 
 // A token whose deadline already passed at submit resolves the future
@@ -437,9 +446,8 @@ TEST(Cancel, WaitForReturnsOnTimeWithExecutionInFlight) {
   }
   // Depending on when the background job claimed the request, the cancel
   // either resolved it before it ran or tripped it mid-execution; both
-  // surface Cancelled, and neither may poison the artifact.
+  // surface Cancelled, and the artifact stays reusable.
   EXPECT_EQ(S.code(), ErrorCode::Cancelled) << S.str();
-  EXPECT_FALSE(CP.poisoned());
 
   Trace T;
   ASSERT_TRUE(CP.tryExecute(Set.Regions, T, fastOpts(2)).ok());
@@ -486,7 +494,6 @@ TEST(Cancel, ConcurrentCancelLeavesSiblingCoalescedPairIntact) {
   const Status &A2 = FA2.wait();
   EXPECT_EQ(A1.code(), A2.code());
   EXPECT_TRUE(A1.ok() || A1.code() == ErrorCode::Cancelled) << A1.str();
-  EXPECT_FALSE(CP.poisoned());
 
   Trace T;
   ASSERT_TRUE(CP.tryExecute(SetA.Regions, T, fastOpts(2)).ok());

@@ -5,10 +5,9 @@
 // launch, writeback, allocation), with views on or off, comes back as a
 // recoverable Status; the artifact stays reusable and a subsequent clean
 // execution is bitwise-identical to an uninjected run. Also covers
-// Executor::tryRun returning a contained failure unretried, poisoned-
-// artifact eviction from the PlanCache, structured error propagation
-// through Tensor::tryEvaluate, and the ThreadPool's exception-capture
-// contract.
+// Executor::tryRun returning a contained failure unretried, structured
+// error propagation through Tensor::tryEvaluate, and the ThreadPool's
+// exception-capture contract.
 //
 // The fractional-rate test honours DISTAL_FAULT_SEED so CI can sweep seeds;
 // every seed must satisfy the same containment property.
@@ -140,7 +139,6 @@ TEST(FaultTolerance, EverySiteEveryConfigIsContained) {
             << St.str();
         EXPECT_NE(St.message().find("reusable"), std::string::npos)
             << "containment note missing: " << St.str();
-        EXPECT_FALSE(CP.poisoned());
       }
       // The artifact must be reusable after the failure, and a clean
       // execution must be bitwise-identical to the uninjected run.
@@ -175,7 +173,6 @@ TEST(FaultTolerance, FractionalRateRepeatedExecutionsStayContained) {
       if (!S.ok()) {
         ++Failures;
         EXPECT_EQ(S.code(), ErrorCode::Injected) << S.str();
-        EXPECT_FALSE(CP.poisoned());
       }
     }
   }
@@ -233,58 +230,6 @@ TEST(FaultTolerance, MissingRegionReturnsInvalidArgument) {
   Status S = E.tryRun(Missing, T, TraceMode::Off);
   ASSERT_FALSE(S.ok());
   EXPECT_EQ(S.code(), ErrorCode::InvalidArgument);
-}
-
-// A poisoned artifact refuses further executions, and both the Executor
-// facade and Tensor::compile drop it instead of serving it again.
-TEST(FaultTolerance, PoisonedArtifactIsRefusedAndEvicted) {
-  Harness H;
-  {
-    CompiledPlan CP(H.Prob.P);
-    CP.poisonForTesting();
-    Trace T;
-    Status S = CP.tryExecute(H.Regions, T, optsFor(true));
-    ASSERT_FALSE(S.ok());
-    EXPECT_EQ(S.code(), ErrorCode::FailedPrecondition);
-  }
-  {
-    Executor E(H.Prob.P);
-    E.setNumThreads(2);
-    CompiledPlan *First = &E.compiled();
-    First->poisonForTesting();
-    CompiledPlan *Second = &E.compiled();
-    EXPECT_NE(First, Second) << "poisoned artifact must be recompiled";
-    EXPECT_FALSE(Second->poisoned());
-    Trace T;
-    EXPECT_TRUE(E.tryRun(H.Regions, T, TraceMode::Off).ok());
-  }
-
-  // PlanCache eviction through the Tensor API.
-  Machine M = Machine::grid({2, 2});
-  Format Tiles({ModeKind::Dense, ModeKind::Dense},
-               TensorDistribution::parse("xy->xy"));
-  Tensor A("A", {16, 16}, Tiles), B("B", {16, 16}, Tiles),
-      C("C", {16, 16}, Tiles);
-  B.fillRandom(5);
-  C.fillRandom(7);
-  IndexVar I("i"), J("j"), K("k");
-  A(I, J) = B(I, K) * C(K, J);
-  IndexVar Io("io"), Ii("ii"), Jo("jo"), Ji("ji"), Ko("ko"), Ki("ki");
-  A.schedule()
-      .distribute({I, J}, {Io, Jo}, {Ii, Ji}, M)
-      .split(K, Ko, Ki, 8)
-      .reorder({Io, Jo, Ko, Ii, Ji, Ki})
-      .communicate(A, Jo)
-      .communicate({B, C}, Ko)
-      .substitute({Ii, Ji, Ki}, LeafKernel::GeMM);
-
-  std::shared_ptr<CompiledPlan> CP1 = A.compile(M);
-  CP1->poisonForTesting();
-  std::shared_ptr<CompiledPlan> CP2 = A.compile(M);
-  EXPECT_NE(CP1.get(), CP2.get())
-      << "compile() must evict a poisoned cache entry";
-  EXPECT_FALSE(CP2->poisoned());
-  EXPECT_TRUE(A.tryEvaluate(M).ok());
 }
 
 // Structured propagation through the user-facing Tensor boundary: an

@@ -23,6 +23,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "algorithms/Matmul.h"
+#include "runtime/CompiledProgram.h"
 #include "runtime/Executor.h"
 #include "runtime/PlanCache.h"
 #include "runtime/Region.h"
@@ -669,38 +670,43 @@ TEST(Overload, BreakerConcurrentSubmitters) {
       EXPECT_EQ(S.code(), ErrorCode::FailedPrecondition) << S.str();
   }
   EXPECT_TRUE(Recovered);
-  EXPECT_FALSE(CP.poisoned());
 }
 
 // ---- Stats plumbing (satellite 2) ------------------------------------------
 
-// PlanCache::admissionStats aggregates the new Shed and BreakerOpen
-// counters across cached artifacts.
+// PlanCache::admissionStats aggregates the Shed and BreakerOpen counters
+// across cached artifacts, plan and program entries alike.
 TEST(Overload, AdmissionStatsAggregateIncludesShedAndBreaker) {
   MatmulProblem Prob = makeCannon();
   auto CP = std::make_shared<CompiledPlan>(Prob.P);
+  auto Prog = std::make_shared<CompiledProgram>(
+      std::vector<std::shared_ptr<CompiledPlan>>{CP});
   ClientRegions Set(Prob);
 
-  // One shed...
-  {
-    ScopedGovernor Gov(hardPinned());
-    ResourceGovernor::Charge C;
-    C.add(1024);
-    ExecFuture F = CP->submit(Set.Regions, fastOpts(2),
-                              AdmissionQueue::Dispatch::Deferred);
-    EXPECT_EQ(F.wait().code(), ErrorCode::ResourceExhausted);
-  }
-  // ...and one breaker rejection.
-  CP->admission().setBreaker(/*Failures=*/1, /*CooldownRejections=*/4);
-  {
-    ScopedFaultInjection Inject(alwaysFail(FaultInjector::Site::Gather));
-    ExecFuture F = CP->submit(Set.Regions, fastOpts(2),
-                              AdmissionQueue::Dispatch::Deferred);
-    EXPECT_EQ(F.wait().code(), ErrorCode::Injected);
-  }
-  ExecFuture F = CP->submit(Set.Regions, fastOpts(2),
-                            AdmissionQueue::Dispatch::Deferred);
-  EXPECT_EQ(F.wait().code(), ErrorCode::FailedPrecondition);
+  // One shed and one breaker rejection on each artifact.
+  auto exercise = [&](auto &Artifact) {
+    {
+      ScopedGovernor Gov(hardPinned());
+      ResourceGovernor::Charge C;
+      C.add(1024);
+      ExecFuture F = Artifact.submit(Set.Regions, fastOpts(2),
+                                     AdmissionQueue::Dispatch::Deferred);
+      EXPECT_EQ(F.wait().code(), ErrorCode::ResourceExhausted);
+    }
+    Artifact.admission().setBreaker(/*Failures=*/1,
+                                    /*CooldownRejections=*/4);
+    {
+      ScopedFaultInjection Inject(alwaysFail(FaultInjector::Site::Gather));
+      ExecFuture F = Artifact.submit(Set.Regions, fastOpts(2),
+                                     AdmissionQueue::Dispatch::Deferred);
+      EXPECT_EQ(F.wait().code(), ErrorCode::Injected);
+    }
+    ExecFuture F = Artifact.submit(Set.Regions, fastOpts(2),
+                                   AdmissionQueue::Dispatch::Deferred);
+    EXPECT_EQ(F.wait().code(), ErrorCode::FailedPrecondition);
+  };
+  exercise(*CP);
+  exercise(*Prog);
 
   PlanCache Cache;
   Cache.put("artifact", CP);
@@ -708,6 +714,11 @@ TEST(Overload, AdmissionStatsAggregateIncludesShedAndBreaker) {
   EXPECT_EQ(Agg.Shed, 1);
   EXPECT_EQ(Agg.BreakerOpen, 1);
   EXPECT_GE(Agg.Admitted, 1);
+  Cache.putProgram("program", Prog);
+  Agg = Cache.admissionStats();
+  EXPECT_EQ(Agg.Shed, 2);
+  EXPECT_EQ(Agg.BreakerOpen, 2);
+  EXPECT_GE(Agg.Admitted, 2);
 }
 
 // ---- The soak (acceptance shape) -------------------------------------------
@@ -781,7 +792,6 @@ TEST(Overload, SoakManyClientsUnderPressure) {
   // Phase 4 — disarmed again: full service resumes, artifact intact.
   for (const Status &S : RunPhase())
     EXPECT_TRUE(S.ok()) << S.str();
-  EXPECT_FALSE(CP.poisoned());
   AdmissionQueue::Stats S = CP.admission().stats();
   EXPECT_GT(S.Shed, 0);
   EXPECT_GE(S.Admitted, 3 * PhaseClients);

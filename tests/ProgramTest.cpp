@@ -355,8 +355,8 @@ TEST(Program, ConcurrentSubmitsSharingInputAreSafe) {
     ChainRegions RA(C), RB(C);
     // Both programs read the SAME X region; interiors/outputs stay private.
     RB.Regions[C.X] = RA.Regions.at(C.X);
-    ProgramFuture FA = ProgA->submit(RA.Regions, progOpts(2));
-    ProgramFuture FB = ProgB->submit(RB.Regions, progOpts(2));
+    ExecFuture FA = ProgA->submit(RA.Regions, progOpts(2));
+    ExecFuture FB = ProgB->submit(RB.Regions, progOpts(2));
     ASSERT_TRUE(FA.valid() && FB.valid());
     EXPECT_TRUE(FB.wait().ok()) << FB.wait().str();
     EXPECT_TRUE(FA.wait().ok()) << FA.wait().str();
@@ -400,7 +400,7 @@ TEST(Program, TensorProgramMatchesPerStatementEvaluate) {
   EXPECT_GT(Prog->linkStats().DirectDeps, 0);
 
   // Async: the future outlives the call and latches OK.
-  ProgramFuture F = P.evaluateAsync(M);
+  ExecFuture F = P.evaluateAsync(M);
   ASSERT_TRUE(F.valid());
   EXPECT_TRUE(F.wait().ok()) << F.wait().str();
 
