@@ -154,7 +154,7 @@ const std::shared_ptr<Region> &Tensor::materialize(const Machine &M,
   // one produced on machine A and consumed on machine B. Callers pass
   // PreserveData = false for a pure output, whose contents are about to
   // be zeroed anyway.
-  if (Reg && Reg->machine().str() != M.str()) {
+  if (Reg && Reg->machine() != M) {
     std::shared_ptr<Region> Old = std::move(Reg);
     // In-flight executions may still be writing the old storage; wait for
     // their pins to drain before reading values out of it. New pins cannot
@@ -195,13 +195,13 @@ std::shared_ptr<CompiledPlan> Tensor::compileLocked(const Machine &M) {
   // Steady state: the memoized key skips lowering and fingerprinting but
   // still goes through the PlanCache, so explicit invalidation (or LRU
   // eviction) always forces a true recompile below.
-  if (!MemoKey.empty() && MemoMachine == M.str())
+  if (!MemoKey.empty() && MemoMachine == M)
     if (std::shared_ptr<CompiledPlan> Cached =
             PlanCache::global().find(MemoKey))
       return Cached;
   Plan P = lower(M);
   std::string Key = PlanCache::keyFor(P);
-  MemoMachine = M.str();
+  MemoMachine = M;
   MemoKey = Key;
   if (std::shared_ptr<CompiledPlan> Cached = PlanCache::global().find(Key))
     return Cached;

@@ -274,9 +274,10 @@ private:
   std::function<double(const Point &)> PendingFill;
   ExecOptions ExecOpts;
   /// Steady-state shortcut past lowering + fingerprinting: the PlanCache
-  /// key last computed, valid for MemoMachine while the schedule is
-  /// untouched (cleared by defineComputation and schedule()).
-  std::string MemoMachine, MemoKey;
+  /// key last computed, valid for a machine equal to MemoMachine while the
+  /// schedule is untouched (cleared by defineComputation and schedule()).
+  Machine MemoMachine;
+  std::string MemoKey;
 };
 
 } // namespace distal

@@ -195,9 +195,8 @@ Status distal::validateProgramPlans(const std::vector<const Plan *> &Plans) {
       return Status(ErrorCode::InvalidArgument,
                     "program statement " + std::to_string(I) +
                         " has no plan");
-  std::string M0 = Plans.front()->M.str();
   for (size_t I = 1; I < Plans.size(); ++I)
-    if (Plans[I]->M.str() != M0)
+    if (Plans[I]->M != Plans.front()->M)
       return Status(ErrorCode::InvalidArgument,
                     "program statement " + std::to_string(I) +
                         " targets a different machine than statement 0; "

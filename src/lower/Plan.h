@@ -74,9 +74,10 @@ public:
 };
 
 /// Validates an ordered statement chain for program-level linking: every
-/// plan non-null and on the same machine (residency linking compares
-/// processor ids across statements, which is only meaningful on one
-/// machine). Returns OK or InvalidArgument naming the offending member.
+/// plan non-null and on the same machine, compared structurally
+/// (Machine::operator==, node grouping included): residency linking
+/// compares processor ids across statements, which is only meaningful on
+/// one machine. Returns OK or InvalidArgument naming the offending member.
 Status validateProgramPlans(const std::vector<const Plan *> &Plans);
 
 /// The statement-fingerprint chain of an ordered plan list — the

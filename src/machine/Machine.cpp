@@ -135,6 +135,16 @@ int64_t Machine::nodeOf(const Point &ProcCoord) const {
   return Node;
 }
 
+bool Machine::operator==(const Machine &O) const {
+  if (Levels.size() != O.Levels.size() ||
+      FlatProcsPerNode != O.FlatProcsPerNode)
+    return false;
+  for (size_t L = 0; L < Levels.size(); ++L)
+    if (Levels[L].Dims != O.Levels[L].Dims || Levels[L].Proc != O.Levels[L].Proc)
+      return false;
+  return true;
+}
+
 std::string Machine::str() const {
   std::ostringstream OS;
   OS << "Machine(";

@@ -88,7 +88,15 @@ public:
   /// For a flat machine every processor is its own node.
   int64_t nodeOf(const Point &ProcCoord) const;
 
+  /// Printed form of the levels and processor kinds. It omits flat node
+  /// grouping, so two machines that print alike may still differ; compare
+  /// machines with operator==.
   std::string str() const;
+
+  /// Structural equality: the same levels (grid extents and processor
+  /// kinds) and the same flat node grouping.
+  bool operator==(const Machine &O) const;
+  bool operator!=(const Machine &O) const { return !(*this == O); }
 
 private:
   std::vector<MachineLevel> Levels;

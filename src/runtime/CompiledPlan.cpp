@@ -1,14 +1,17 @@
 //===- runtime/CompiledPlan.cpp -------------------------------*- C++ -*-===//
 //
 // The compile side of the artifact: the constructor runs the
-// data-independent analysis once (PlanAnalysis) and hands the result to
-// the statement's ExecEngine, which walks it as a one-member program on
-// every execution (see ExecEngine.cpp for the execute phase). Nothing here
-// touches the trace after construction.
+// data-independent analysis once (PlanAnalysis), binds every (task, step)'s
+// leaf (leaf::bindLeaf) and hands the result to the statement's
+// ExecEngine, which walks it as a one-member program on every execution
+// (see ExecEngine.cpp for the execute phase). Nothing here touches the
+// trace after construction.
 //
 //===----------------------------------------------------------------------===//
 
 #include "runtime/CompiledPlan.h"
+
+#include <algorithm>
 
 #include "runtime/PlanAnalysis.h"
 #include "support/Error.h"
@@ -16,12 +19,53 @@
 using namespace distal;
 
 CompiledPlan::CompiledPlan(Plan Pl, const Mapper &Map)
-    : P(std::move(Pl)), RhsTape(leaf::compileTape(P.Nest.Stmt.rhs())) {
+    : P(std::move(Pl)), RhsTape(leaf::compileTape(P.Nest.Stmt.rhs())),
+      Slots(P.Nest.Stmt.tensors()) {
   PlanAnalysisResult R = analyzePlan(P, Map);
   Skeleton = std::move(R.Skeleton);
   Tasks = std::move(R.Tasks);
   StepVals = std::move(R.StepVals);
+  OutSlot = static_cast<int>(
+      std::find(Slots.begin(), Slots.end(), P.Nest.Stmt.lhs().tensor()) -
+      Slots.begin());
+  LeafS = leaf::compileLeafShape(P, Slots);
+  bindTasks();
   Engine.emplace(std::vector<const CompiledPlan *>{this}, nullptr, Skeleton);
+}
+
+void CompiledPlan::bindTasks() {
+  for (CompiledTask &CT : Tasks) {
+    // The rectangle each slot holds at the current step: the last one
+    // gathered into it (step gathers skip rectangles already resident).
+    std::vector<const Rect *> Last(Slots.size(), nullptr);
+    auto record = [&](CompiledGather &G) {
+      G.Slot = static_cast<int>(
+          std::find(Slots.begin(), Slots.end(), G.Tensor) - Slots.begin());
+      // Every gather may bind as a view (by alias analysis, or by program
+      // linking), which reads region storage from Runs.RegBase with the
+      // tensor's strides: prove the rectangle inside the shape once, here.
+      if (!G.R.isEmpty() &&
+          !Rect::forExtents(G.Tensor.shape()).contains(G.R))
+        throwError(ErrorCode::Internal,
+                   "gather rectangle " + G.R.str() + " of tensor '" +
+                       G.Tensor.name() + "' lies outside its shape");
+      Last[static_cast<size_t>(G.Slot)] = &G.R;
+    };
+    for (CompiledGather &G : CT.LaunchGathers)
+      record(G);
+    std::map<IndexVar, Coord> Vals = CT.DistVals;
+    std::vector<Coord> Coefs;
+    CT.Leaf.resize(StepVals.size());
+    for (size_t S = 0; S < StepVals.size(); ++S) {
+      for (const auto &[V, C] : StepVals[S])
+        Vals[V] = C;
+      for (CompiledGather &G : CT.StepGathers[S])
+        record(G);
+      if (CT.RunLeaf[S])
+        CT.Leaf[S] = leaf::bindLeaf(P, LeafS, RhsTape, Vals, Last,
+                                    CT.SkipOutputZero, Coefs);
+    }
+  }
 }
 
 CompiledPlan::~CompiledPlan() = default;
@@ -67,6 +111,8 @@ int64_t CompiledPlan::footprintBytes() const {
     for (const auto &Step : CT.StepGathers)
       Sum += static_cast<int64_t>(Step.size() * sizeof(CompiledGather));
     Sum += static_cast<int64_t>(CT.RunLeaf.size());
+    for (const leaf::LeafBinding &B : CT.Leaf)
+      Sum += B.footprintBytes();
   }
   return Sum + Engine->footprintBytes();
 }

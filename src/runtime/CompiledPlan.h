@@ -115,8 +115,14 @@ struct CompiledGather {
   bool IsOutput = false;
   /// Alias-analysis verdict (see GatherClass).
   GatherClass Class = GatherClass::Coalesced;
-  /// The coalesced copy program of R, derived once at compile time.
+  /// The coalesced copy program of R, derived once at compile time. Its
+  /// RegBase, the region offset of R's lo corner, is also where a
+  /// zero-copy view of R starts (R lies inside the tensor's shape, checked
+  /// when the artifact is built).
   GatherRuns Runs;
+  /// The task's instance slot for Tensor: its position in the statement's
+  /// tensors().
+  int Slot = 0;
 };
 
 /// Per-task compile-time state: placement plus the gather program. Step
@@ -137,6 +143,9 @@ struct CompiledTask {
   /// OutRect exactly once): the launch-phase Instance::zero() is skipped
   /// and the compiled leaf runs in overwrite mode.
   bool SkipOutputZero = false;
+  /// [step] The leaf bound at compile time (offsets, coefficients, guard
+  /// and GEMM route); default-constructed where RunLeaf is 0.
+  std::vector<leaf::LeafBinding> Leaf;
 };
 
 /// The persistent compile-once / execute-many artifact.
@@ -162,8 +171,10 @@ struct CompiledTask {
 /// a later run. The artifact and every sibling execution are untouched; a
 /// subsequent clean execute() is bitwise-identical to one against a
 /// freshly compiled artifact. Input regions are never mutated by a failed
-/// execution; the output region may hold partial data but is re-zeroed by
-/// every execution.
+/// execution; the output region may hold partial data, but every execution
+/// rewrites all of it: it is zeroed first, or, when the compile phase
+/// proved every element overwritten in place (ExecEngine's dead zero),
+/// every element is assigned.
 class CompiledPlan {
 public:
   /// Compiles \p P for repeated execution: runs the full data-independent
@@ -220,7 +231,9 @@ public:
   int64_t zeroSkipTaskCount() const;
 
   /// Executes the compiled program over \p Regions, which must contain
-  /// every tensor of the statement; the output region is zeroed first.
+  /// every tensor of the statement, each a region of the tensor's shape;
+  /// the output region is zeroed first (or fully overwritten, see the
+  /// failure contract).
   /// Returns the trace skeleton (TraceMode::Full) or an empty trace
   /// (TraceMode::Off). Output data is bitwise-identical for every thread
   /// count and task/leaf split, and to a freshly compiled artifact's.
@@ -293,12 +306,20 @@ private:
   /// The engine walks the compiled tasks and binds the leaf tape.
   friend class ExecEngine;
 
+  /// Records every gather's slot, proves its rectangle inside the tensor's
+  /// shape, and binds every run leaf.
+  void bindTasks();
+
   Plan P;
   Trace Skeleton;
   leaf::Tape RhsTape;
+  /// The statement's tensors(): instance slot S holds Slots[S].
+  std::vector<TensorVar> Slots;
+  int OutSlot = 0;
+  leaf::LeafShape LeafS;
   std::vector<CompiledTask> Tasks;
   /// Per step: the step-loop variable values every task fixes for that
-  /// step (same across tasks; tasks keep private FixedVals maps).
+  /// step (same across tasks).
   std::vector<std::vector<std::pair<IndexVar, Coord>>> StepVals;
 
   /// This statement as a one-member program. Built once the analysis above

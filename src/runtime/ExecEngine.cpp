@@ -116,15 +116,16 @@ ThreadLayout resolveThreads(const ExecOptions &Opts, const ExecutionSlot &Slot,
   return L;
 }
 
-/// Builds one member's per-task instance buffers and leaf engines on first
+/// Builds one member's per-task instance buffers and leaf scratch on first
 /// use (idempotent), sized at the compile-time maxima so reuse never
-/// reallocates, and charges their reserved capacity to \p Mem in one sum
-/// (Instance::reserve only reserves, so the ledger records the maxima the
-/// buffers will grow to).
-void ensureExecState(const CompiledPlan &CP,
+/// reallocates, and charges their reserved capacity — the Khatri-Rao
+/// workspaces the compiled GEMM routes need included — to \p Mem in one
+/// sum (Instance::reserve only reserves, so the ledger records the maxima
+/// the buffers will grow to).
+void ensureExecState(const std::vector<CompiledTask> &Tasks, size_t NumSlots,
+                     const leaf::LeafShape &Shape, const leaf::Tape &Tape,
                      std::vector<ExecArena::TaskExec> &Execs,
                      ResourceGovernor::Charge &Mem) {
-  const std::vector<CompiledTask> &Tasks = CP.compiledTasks();
   if (!Execs.empty() || Tasks.empty())
     return;
   Execs.resize(Tasks.size());
@@ -132,19 +133,52 @@ void ensureExecState(const CompiledPlan &CP,
   for (size_t I = 0; I < Tasks.size(); ++I) {
     const CompiledTask &CT = Tasks[I];
     ExecArena::TaskExec &TE = Execs[I];
-    TE.FixedVals = CT.DistVals;
-    std::map<TensorVar, int64_t> MaxVol;
+    TE.Owned.resize(NumSlots);
+    TE.Data.assign(NumSlots, nullptr);
+    TE.View.assign(NumSlots, 0);
+    std::vector<int64_t> MaxVol(NumSlots, -1);
+    auto note = [&](const CompiledGather &G) {
+      int64_t &V = MaxVol[static_cast<size_t>(G.Slot)];
+      V = std::max(V, G.R.volume());
+    };
     for (const CompiledGather &G : CT.LaunchGathers)
-      MaxVol[G.Tensor] = std::max(MaxVol[G.Tensor], G.R.volume());
+      note(G);
     for (const auto &Step : CT.StepGathers)
       for (const CompiledGather &G : Step)
-        MaxVol[G.Tensor] = std::max(MaxVol[G.Tensor], G.R.volume());
-    for (const auto &[TV, Vol] : MaxVol) {
-      TE.OwnedInsts[TV].reserve(Vol);
-      Sum += std::max<int64_t>(Vol, 1) * 8;
-    }
+        note(G);
+    for (size_t S = 0; S < NumSlots; ++S)
+      if (MaxVol[S] >= 0) {
+        TE.Owned[S].reserve(MaxVol[S]);
+        Sum += std::max<int64_t>(MaxVol[S], 1) * 8;
+      }
+    int64_t Workspace = 0;
+    for (const leaf::LeafBinding &B : CT.Leaf)
+      Workspace = std::max(Workspace, B.Route.WorkspaceElems);
+    TE.Leaf.size(Shape, Tape, Workspace);
+    Sum += Workspace * 8;
   }
   Mem.add(Sum);
+}
+
+/// Resolves a member's instance slots \p Slots to regions of \p Regions,
+/// checking that every tensor has one and that it has the tensor's shape
+/// (the compiled view offsets and strides assume it).
+void resolveRegions(const std::vector<TensorVar> &Slots,
+                    const std::map<TensorVar, Region *> &Regions,
+                    std::vector<Region *> &Out) {
+  Out.resize(Slots.size());
+  for (size_t S = 0; S < Slots.size(); ++S) {
+    const TensorVar &TV = Slots[S];
+    auto It = Regions.find(TV);
+    if (It == Regions.end() || !It->second)
+      throwError(ErrorCode::InvalidArgument,
+                 "no region provided for tensor '" + TV.name() + "'");
+    if (It->second->shape() != TV.shape())
+      throwError(ErrorCode::InvalidArgument,
+                 "the region provided for tensor '" + TV.name() +
+                     "' has another shape than the tensor");
+    Out[S] = It->second;
+  }
 }
 
 } // namespace
@@ -163,6 +197,28 @@ ExecEngine::ExecEngine(std::vector<const CompiledPlan *> Ms,
   }
   NumNodes = Base;
   buildGraphs();
+
+  // A member's zero is dead when every task writes its output rectangle
+  // exactly once (SkipOutputZero), in place, and the rectangles cover the
+  // tensor: then every element is assigned before anything reads it.
+  DeadZero.assign(Members.size(), 0);
+  for (size_t I = 0; I < Members.size(); ++I) {
+    const CompiledPlan &CP = *Members[I];
+    bool Dead = true;
+    std::vector<Rect> Cover;
+    for (size_t T = 0; T < CP.Tasks.size() && Dead; ++T) {
+      const CompiledTask &CT = CP.Tasks[T];
+      bool InPlace = Link && Link->Stmts[I].Tasks[T].OutView;
+      for (const CompiledGather &G : CT.LaunchGathers)
+        InPlace |= G.IsOutput && G.Class == GatherClass::Aliasable;
+      Dead = CT.SkipOutputZero && InPlace;
+      Cover.push_back(CT.OutRect);
+    }
+    DeadZero[I] =
+        Dead && coveredByUnion(
+                    Rect::forExtents(CP.P.Nest.Stmt.lhs().tensor().shape()),
+                    Cover);
+  }
 }
 
 ExecEngine::~ExecEngine() = default;
@@ -346,25 +402,27 @@ Status ExecEngine::tryExecute(const std::map<TensorVar, Region *> &Regions,
 void ExecEngine::run(ExecArena &A, const ExecutionSlot &Slot,
                      const std::map<TensorVar, Region *> &Regions,
                      const ExecOptions &Opts) {
-  for (const CompiledPlan *M : Members)
-    for (const TensorVar &TV : M->P.Nest.Stmt.tensors())
-      if (!Regions.count(TV))
-        throwError(ErrorCode::InvalidArgument,
-                   "no region provided for tensor '" + TV.name() + "'");
+  if (A.Execs.size() != Members.size()) {
+    A.Execs.resize(Members.size());
+    A.Regs.resize(Members.size());
+  }
+  for (size_t I = 0; I < Members.size(); ++I)
+    resolveRegions(Members[I]->Slots, Regions, A.Regs[I]);
   // A token tripped before the walk starts cancels here, before any side
   // effect; runNode re-checks at every node boundary and runTask at every
   // step.
   Opts.Cancel.check();
 
-  if (A.Execs.size() != Members.size())
-    A.Execs.resize(Members.size());
-  for (size_t I = 0; I < Members.size(); ++I)
-    ensureExecState(*Members[I], A.Execs[I], A.MemCharge);
+  for (size_t I = 0; I < Members.size(); ++I) {
+    const CompiledPlan &CP = *Members[I];
+    ensureExecState(CP.Tasks, CP.Slots.size(), CP.LeafS, CP.RhsTape,
+                    A.Execs[I], A.MemCharge);
+  }
 
   std::optional<ThreadPool::InlineScope> Inline;
   ThreadLayout Layout = resolveThreads(Opts, Slot, NumTasks, A.OwnCtx, Inline);
-  Walk W{Regions,       Opts.Cancel,        &A.Fault,
-         Layout.LeafLP, Opts.ZeroCopyViews, Layout.Pool};
+  Walk W{Opts.Cancel,        &A.Fault,   Layout.LeafLP,
+         Opts.ZeroCopyViews, Layout.Pool};
 
   if (!Layout.Pool || Layout.TaskWays <= 1) {
     for (int32_t Node = 0; Node < NumNodes; ++Node)
@@ -449,8 +507,10 @@ void ExecEngine::runNode(ExecArena &A, int32_t Node, const Walk &W) const {
       NodeBase.begin() - 1);
   int32_t Local = Node - NodeBase[I];
   int32_t Tasks = static_cast<int32_t>(Members[I]->Tasks.size());
-  if (Local == 0) // Zero node: region-wide zero of the member's output.
-    W.Regions.at(Members[I]->P.Nest.Stmt.lhs().tensor())->zero();
+  if (Local == 0) { // Zero node: region-wide zero of the member's output.
+    if (!(W.ViewsOn && DeadZero[I]))
+      A.Regs[I][static_cast<size_t>(Members[I]->OutSlot)]->zero();
+  }
   else if (Local == Tasks + 1)
     writeback(A, I, W);
   else
@@ -463,21 +523,35 @@ void ExecEngine::runTask(ExecArena &A, size_t Member, size_t TaskIdx,
   const CompiledPlan &CP = *Members[Member];
   const CompiledTask &CT = CP.Tasks[TaskIdx];
   ExecArena::TaskExec &TE = A.Execs[Member][TaskIdx];
+  const std::vector<Region *> &Regs = A.Regs[Member];
   const ProgramTaskLinks *Links =
       Link ? &Link->Stmts[Member].Tasks[TaskIdx] : nullptr;
+  // A view is the region's storage at the rectangle's recorded offset
+  // (the rectangle was proved inside the shape at compile time, and the
+  // region's shape checked when the map was resolved).
+  auto bindView = [&](const CompiledGather &G) {
+    const size_t S = static_cast<size_t>(G.Slot);
+    TE.Data[S] = Regs[S]->data() + G.Runs.RegBase;
+    TE.View[S] = 1;
+  };
+  auto bindOwned = [&](const CompiledGather &G) -> Instance & {
+    const size_t S = static_cast<size_t>(G.Slot);
+    Instance &Inst = TE.Owned[S];
+    Inst.reset(G.R);
+    TE.Data[S] = Inst.data();
+    TE.View[S] = 0;
+    return Inst;
+  };
   // Bind one recorded input gather. Aliasable gathers (and, in a linked
   // program, link-elided ones) bind a zero-copy view of Region storage;
   // the rest reset + replay the precomputed coalesced run program.
   auto bindInput = [&](const CompiledGather &G, bool LinkElided) {
     FaultInjector::inject(FaultInjector::Site::Gather, W.Fault);
-    Instance &Inst = TE.OwnedInsts[G.Tensor];
-    if (W.ViewsOn && (G.Class == GatherClass::Aliasable || LinkElided)) {
-      W.Regions.at(G.Tensor)->bindView(Inst, G.R);
-    } else {
-      Inst.reset(G.R);
-      W.Regions.at(G.Tensor)->gatherCompiled(Inst, G.Runs, W.LeafLP);
-    }
-    TE.Insts[G.Tensor] = &Inst;
+    if (W.ViewsOn && (G.Class == GatherClass::Aliasable || LinkElided))
+      bindView(G);
+    else
+      Regs[static_cast<size_t>(G.Slot)]->gatherCompiled(bindOwned(G), G.Runs,
+                                                        W.LeafLP);
   };
 
   // Launch phase: task-level instances (private accumulator for the
@@ -485,39 +559,32 @@ void ExecEngine::runTask(ExecArena &A, size_t Member, size_t TaskIdx,
   // skipped when the compile phase proved the leaf overwrites it entirely;
   // an aliased accumulator (exclusive home-resident rectangle, or a linked
   // in-place writer) binds the region storage itself, which the zero node
-  // already cleared, and elides its writeback at the end node.
+  // already cleared (or which the leaf overwrites, when the zero is dead),
+  // and elides its writeback at the end node.
   for (size_t Gi = 0; Gi < CT.LaunchGathers.size(); ++Gi) {
     const CompiledGather &G = CT.LaunchGathers[Gi];
-    if (!G.IsOutput) {
+    if (!G.IsOutput)
       bindInput(G, Links && Links->LaunchView[Gi]);
-      continue;
-    }
-    Instance &Inst = TE.OwnedInsts[G.Tensor];
-    if (W.ViewsOn &&
-        (G.Class == GatherClass::Aliasable || (Links && Links->OutView))) {
-      W.Regions.at(G.Tensor)->bindView(Inst, G.R);
-    } else {
-      Inst.reset(G.R);
-      if (!CT.SkipOutputZero)
-        Inst.zero();
-    }
-    TE.Insts[G.Tensor] = &Inst;
+    else if (W.ViewsOn &&
+             (G.Class == GatherClass::Aliasable || (Links && Links->OutView)))
+      bindView(G);
+    else if (Instance &Inst = bindOwned(G); !CT.SkipOutputZero)
+      Inst.zero();
   }
 
   // Steps: fetches and leaf kernels replayed from the compiled program
-  // (rectangles, residency dedup, and leaf activation were all decided at
-  // compile time).
+  // (rectangles, residency dedup, leaf activation and the leaf bindings
+  // were all decided at compile time).
   for (size_t S = 0; S < CP.StepVals.size(); ++S) {
     W.Cancel.check();
-    for (const auto &[V, C] : CP.StepVals[S])
-      TE.FixedVals[V] = C;
     const std::vector<CompiledGather> &Gs = CT.StepGathers[S];
     for (size_t Gi = 0; Gi < Gs.size(); ++Gi)
       bindInput(Gs[Gi], Links && Links->StepView[S][Gi]);
     if (CT.RunLeaf[S]) {
       FaultInjector::inject(FaultInjector::Site::Leaf, W.Fault);
-      leaf::runCompiledLeaf(TE.Leaf, CP.P, TE.FixedVals, TE.Insts, CP.RhsTape,
-                            W.LeafLP, CT.SkipOutputZero);
+      leaf::runCompiledLeaf(TE.Leaf, CP.LeafS, CT.Leaf[S], TE.Data.data(),
+                            TE.View.data(), CP.RhsTape, W.LeafLP,
+                            CT.SkipOutputZero);
     }
     A.StepsDone.fetch_add(1, std::memory_order_relaxed);
   }
@@ -528,17 +595,16 @@ void ExecEngine::writeback(ExecArena &A, size_t Member, const Walk &W) const {
   // merge is elided entirely (the alias proof guarantees no other task
   // contributes to those elements, so there is no merge order to
   // preserve).
-  const TensorVar &Out = Members[Member]->P.Nest.Stmt.lhs().tensor();
-  Region *OutR = W.Regions.at(Out);
+  const CompiledPlan &CP = *Members[Member];
+  const size_t Out = static_cast<size_t>(CP.OutSlot);
+  Region *OutR = A.Regs[Member][Out];
   std::vector<ExecArena::TaskExec> &Execs = A.Execs[Member];
-  if (!W.Pool || Out.order() == 0) {
-    for (ExecArena::TaskExec &TE : Execs) {
-      const Instance &OutInst = TE.OwnedInsts.at(Out);
-      if (!OutInst.isView()) {
+  if (!W.Pool || CP.Slots[Out].order() == 0) {
+    for (ExecArena::TaskExec &TE : Execs)
+      if (!TE.View[Out]) {
         FaultInjector::inject(FaultInjector::Site::Writeback, W.Fault);
-        OutR->reduceBack(OutInst);
+        OutR->reduceBack(TE.Owned[Out]);
       }
-    }
     return;
   }
   // Stripe the merge over output rows. Within a stripe every element
@@ -548,11 +614,9 @@ void ExecEngine::writeback(ExecArena &A, size_t Member, const Walk &W) const {
       OutR->shape()[0],
       [&](int64_t RowLo, int64_t RowHi) {
         FaultInjector::inject(FaultInjector::Site::Writeback, W.Fault);
-        for (ExecArena::TaskExec &TE : Execs) {
-          const Instance &OutInst = TE.OwnedInsts.at(Out);
-          if (!OutInst.isView())
-            OutR->reduceBackRows(OutInst, RowLo, RowHi);
-        }
+        for (ExecArena::TaskExec &TE : Execs)
+          if (!TE.View[Out])
+            OutR->reduceBackRows(TE.Owned[Out], RowLo, RowHi);
       },
       W.Cancel.valid() ? &W.Cancel : nullptr);
 }

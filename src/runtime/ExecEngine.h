@@ -16,11 +16,12 @@
 /// any number of executions walk one compiled program concurrently, each in
 /// its own arena. Arenas are pooled (bounded by setArenaCacheCap), so the
 /// steady state allocates nothing: a cached arena hands back instance
-/// buffers already sized at their compile-time maxima and leaf engines
-/// whose affine structure is already derived. A failed execution discards
-/// its arena instead of returning it: the walk issues no detached work, so
-/// nothing references the arena once the failing fan-out has unwound, and
-/// the artifact is untouched and immediately reusable.
+/// buffers already sized at their compile-time maxima and leaf scratch
+/// (Khatri-Rao workspace included) sized for the compiled leaf bindings,
+/// which the artifact holds. A failed execution discards its arena instead
+/// of returning it: the walk issues no detached work, so nothing references
+/// the arena once the failing fan-out has unwound, and the artifact is
+/// untouched and immediately reusable.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,19 +52,24 @@ struct ProgramLinkResult;
 
 /// All mutable state of one execution.
 struct ExecArena {
-  /// Reusable per-task execution state: instance buffers sized at compile
-  /// time (max rectangle volume over all phases) and the leaf engine whose
-  /// affine structure (and Khatri-Rao workspace, on its own governor
-  /// ledger) persists across steps and executions.
+  /// Reusable per-task execution state, indexed by instance slot (the
+  /// member statement's tensors()): instance buffers sized at compile time
+  /// (max rectangle volume over all phases), what each slot is bound to at
+  /// the current step, and the leaf scratch.
   struct TaskExec {
-    std::map<IndexVar, Coord> FixedVals;
-    std::map<TensorVar, Instance> OwnedInsts;
-    std::map<TensorVar, Instance *> Insts;
+    std::vector<Instance> Owned;
+    /// The data the leaf reads: Owned[S]'s buffer, or, when View[S] is
+    /// set, a zero-copy view into region storage.
+    std::vector<double *> Data;
+    std::vector<uint8_t> View;
     leaf::LeafEngine Leaf;
   };
 
   /// [member][task]: built on first use, then reused.
   std::vector<std::vector<TaskExec>> Execs;
+  /// [member][slot]: this execution's regions, resolved from the caller's
+  /// map once per execution.
+  std::vector<std::vector<Region *>> Regs;
   /// Scratch of the parallel walk (remaining in-degree per node, ready
   /// stack), kept so the steady state allocates nothing.
   std::vector<int32_t> InDeg, Ready;
@@ -79,9 +85,9 @@ struct ExecArena {
   /// Context owned when the caller supplies none; rebuilt only when the
   /// budgeted thread count changes between this arena's executions.
   std::unique_ptr<ExecContext> OwnCtx;
-  /// Governor ledger for the instance buffers, charged when they are sized
-  /// and released when the arena dies, so pooled-arena memory shows up in
-  /// usedBytes().
+  /// Governor ledger for the instance buffers and Khatri-Rao workspaces,
+  /// charged when they are sized and released when the arena dies, so
+  /// pooled-arena memory shows up in usedBytes().
   ResourceGovernor::Charge MemCharge;
 };
 
@@ -135,9 +141,9 @@ public:
   int64_t footprintBytes() const;
 
 private:
-  /// What one execution binds every node to.
+  /// What one execution binds every node to (the regions are the arena's
+  /// resolved slots).
   struct Walk {
-    const std::map<TensorVar, Region *> &Regions;
     const CancelToken &Cancel;
     FaultInjector::ExecutionScope *Fault;
     /// Pool and ways budget handed to gathers and leaves.
@@ -185,6 +191,12 @@ private:
   /// Node numbering: member I with T tasks owns [NodeBase[I],
   /// NodeBase[I] + T + 2): zero node, T task nodes, end node.
   std::vector<int32_t> NodeBase;
+  /// [member] 1: no element ever reads member I's region-wide zero when
+  /// views are on — every task overwrites its output rectangle in place
+  /// (SkipOutputZero with an Aliasable or link OutView output) and the
+  /// rectangles cover the tensor — so its zero node skips the memset. The
+  /// node and its edges stay: they order WAR/WAW against earlier members.
+  std::vector<uint8_t> DeadZero;
   int32_t NumNodes = 0;
   int64_t NumTasks = 0, TaskSteps = 0;
   Graph Linked, Barrier;

@@ -2,9 +2,10 @@
 //
 // Leaf kernels run through a small compiler instead of an interpreter: the
 // statement's right-hand side becomes a flat postfix tape, every access
-// offset becomes an affine function of the leaf loop variables (cached per
-// task across steps), guards are hoisted out of the innermost loop, and
-// recognisable loop structures route to blas:: kernels. Unguarded product
+// offset becomes an affine function of the leaf loop variables (bound once
+// per task and step when the CompiledPlan is built, with the GEMM route),
+// guards are hoisted out of the innermost loop, and recognisable loop
+// structures route to blas:: kernels. Unguarded product
 // leaves go whole into the packed GEMM when their loops, after collapsing
 // adjacent loops that fuse for every access, form a matrix multiply (GEMM,
 // TTM) or an MTTKRP (GEMMs against a Khatri-Rao workspace); other leaves
@@ -166,170 +167,69 @@ __attribute__((noinline)) void runTapeBlocks(const LeafEngine &E,
   }
 }
 
-/// Computes the per-leaf-var coefficients of every original variable by
-/// probing the provenance graph (the expensive part, cached across steps).
-void computeVarCoefs(LeafEngine &E, const ProvenanceGraph &Prov,
-                     const std::map<IndexVar, Coord> &FixedVals) {
-  auto ValuesWith = [&](const std::vector<Coord> &LeafVals) {
-    std::map<IndexVar, Coord> Vals = FixedVals;
-    for (int I = 0; I < E.NumLeaf; ++I)
-      Vals[E.LeafV[I]] = LeafVals[I];
-    return Vals;
-  };
-  std::vector<Coord> Zero(E.NumLeaf, 0), Probe(E.NumLeaf, 0);
-  std::map<IndexVar, Coord> ValsZero = ValuesWith(Zero);
-  for (int V = 0; V < E.NumOrig; ++V) {
-    E.VarBase[V] = Prov.recoverValue(E.OrigV[V], ValsZero);
-    for (int I = 0; I < E.NumLeaf; ++I) {
-      E.VarCoef[V][I] = 0;
-      if (E.LeafExtents[I] <= 1)
-        continue;
-      Probe = Zero;
-      Probe[I] = 1;
-      E.VarCoef[V][I] =
-          Prov.recoverValue(E.OrigV[V], ValuesWith(Probe)) - E.VarBase[V];
-    }
+/// Sets every leaf variable of \p Vals to \p LeafVal(I).
+template <typename Fn>
+void setLeafVals(const LeafShape &S, std::map<IndexVar, Coord> &Vals,
+                 Fn LeafVal) {
+  for (int I = 0; I < S.NumLeaf; ++I)
+    Vals[S.LeafV[I]] = LeafVal(I);
+}
+
+/// Derives the per-leaf-var coefficients of every original variable by
+/// probing the provenance graph one leaf variable at a time from the leaf
+/// origin, whose values are \p VarBase.
+void computeVarCoefs(const LeafShape &S, const ProvenanceGraph &Prov,
+                     std::map<IndexVar, Coord> &Vals,
+                     const std::vector<Coord> &VarBase,
+                     std::vector<Coord> &Coefs) {
+  Coefs.assign(static_cast<size_t>(S.NumOrig * S.NumLeaf), 0);
+  for (int I = 0; I < S.NumLeaf; ++I) {
+    if (S.LeafExtents[I] <= 1)
+      continue;
+    setLeafVals(S, Vals, [I](int J) { return J == I ? 1 : 0; });
+    for (int V = 0; V < S.NumOrig; ++V)
+      Coefs[V * S.NumLeaf + I] =
+          Prov.recoverValue(S.OrigV[V], Vals) - VarBase[V];
   }
 }
 
-/// Verifies the cached coefficients at the far corner of the leaf domain
-/// and recomputes NeedGuard. Returns false when the cached structure no
-/// longer predicts the provenance recovery (caller recompiles).
-bool verifyAffineStructure(LeafEngine &E, const ProvenanceGraph &Prov,
-                           const std::map<IndexVar, Coord> &FixedVals) {
-  std::map<IndexVar, Coord> Vals = FixedVals;
-  for (int I = 0; I < E.NumLeaf; ++I)
-    Vals[E.LeafV[I]] = E.LeafExtents[I] - 1;
-  E.NeedGuard = false;
-  for (int V = 0; V < E.NumOrig; ++V) {
-    Coord Predicted = E.VarBase[V];
-    for (int I = 0; I < E.NumLeaf; ++I)
-      Predicted += E.VarCoef[V][I] * (E.LeafExtents[I] - 1);
-    if (Prov.recoverValue(E.OrigV[V], Vals) != Predicted)
+/// Verifies \p Coefs at the far corner of the leaf domain and derives
+/// \p NeedGuard. False when the coefficients do not predict the provenance
+/// recovery there.
+bool verifyAffineStructure(const LeafShape &S, const ProvenanceGraph &Prov,
+                           std::map<IndexVar, Coord> &Vals,
+                           const std::vector<Coord> &VarBase,
+                           const std::vector<Coord> &Coefs, bool &NeedGuard) {
+  setLeafVals(S, Vals, [&](int I) { return S.LeafExtents[I] - 1; });
+  NeedGuard = false;
+  for (int V = 0; V < S.NumOrig; ++V) {
+    Coord Predicted = VarBase[V];
+    for (int I = 0; I < S.NumLeaf; ++I)
+      Predicted += Coefs[V * S.NumLeaf + I] * (S.LeafExtents[I] - 1);
+    if (Prov.recoverValue(S.OrigV[V], Vals) != Predicted)
       return false;
-    if (Predicted >= E.VarExtent[V])
-      E.NeedGuard = true;
+    if (Predicted >= S.VarExtent[V])
+      NeedGuard = true;
   }
   return true;
 }
 
-/// Binds the engine to this step's fixed values and instances: recovers the
-/// bases, re-derives the per-access offset functions from the instance
-/// strides, and validates the cached affine structure (recompiling it if a
-/// rotation moved underneath us). Returns false when the leaf domain is
-/// empty.
-bool prepareStep(LeafEngine &E, const Plan &P,
-                 const std::map<IndexVar, Coord> &FixedVals,
-                 std::map<TensorVar, Instance *> &Insts, const Tape &T) {
-  const Assignment &Stmt = P.Nest.Stmt;
-  const ProvenanceGraph &Prov = P.Nest.Prov;
-  if (!E.Ready) {
-    E.LeafV = P.leafVars();
-    E.OrigV = Stmt.defaultLoopOrder();
-    E.Accesses = Stmt.accesses();
-    E.NumLeaf = static_cast<int>(E.LeafV.size());
-    E.NumOrig = static_cast<int>(E.OrigV.size());
-    E.NumAcc = static_cast<int>(E.Accesses.size());
-    for (int V = 0; V < E.NumOrig; ++V)
-      E.OrigIdx[E.OrigV[V]] = V;
-    E.ReadsOutput = false;
-    for (int A = 1; A < E.NumAcc; ++A)
-      E.ReadsOutput |= E.Accesses[A].tensor() == E.Accesses[0].tensor();
-    E.LeafExtents.resize(E.NumLeaf);
-    for (int I = 0; I < E.NumLeaf; ++I)
-      E.LeafExtents[I] = Prov.extent(E.LeafV[I]);
-    E.VarExtent.resize(E.NumOrig);
-    for (int V = 0; V < E.NumOrig; ++V)
-      E.VarExtent[V] = Prov.extent(E.OrigV[V]);
-    E.VarBase.resize(E.NumOrig);
-    E.VarCoef.assign(E.NumOrig, std::vector<Coord>(E.NumLeaf, 0));
-    E.AccCoef.assign(E.NumAcc, std::vector<int64_t>(E.NumLeaf, 0));
-    E.CopyCoef = E.AccCoef;
-    E.ViewCoef = E.AccCoef;
-    E.AccBase.resize(E.NumAcc);
-    E.AccData.resize(E.NumAcc);
-    E.Stack.resize(std::max(T.MaxDepth, 1));
-    E.CurOff.resize(E.NumAcc);
-    E.RowOff.resize(E.NumAcc);
-    E.CurVal.resize(E.NumOrig);
-    E.Odometer.assign(std::max(E.NumLeaf - 1, 0), 0);
-    computeVarCoefs(E, Prov, FixedVals);
-    if (!verifyAffineStructure(E, Prov, FixedVals))
-      reportFatalError("leaf loops are not affine in the leaf variables; "
-                       "rotate must be applied to sequential step loops only");
-    E.Ready = true;
-  } else {
-    // Bases move every step; the coefficient structure almost never does.
-    auto ValuesWith = [&](Coord LeafVal) {
-      std::map<IndexVar, Coord> Vals = FixedVals;
-      for (int I = 0; I < E.NumLeaf; ++I)
-        Vals[E.LeafV[I]] = LeafVal;
-      return Vals;
-    };
-    std::map<IndexVar, Coord> ValsZero = ValuesWith(0);
-    for (int V = 0; V < E.NumOrig; ++V)
-      E.VarBase[V] = Prov.recoverValue(E.OrigV[V], ValsZero);
-    if (!verifyAffineStructure(E, Prov, FixedVals)) {
-      computeVarCoefs(E, Prov, FixedVals);
-      if (!verifyAffineStructure(E, Prov, FixedVals))
-        reportFatalError(
-            "leaf loops are not affine in the leaf variables; "
-            "rotate must be applied to sequential step loops only");
-    }
-  }
-  for (int I = 0; I < E.NumLeaf; ++I)
-    if (E.LeafExtents[I] == 0)
-      return false;
-
-  // Bind accesses: instance pointers and affine offsets in elements. The
-  // binding is stride-generic, so it works unchanged whether the instance
-  // owns a packed copy or is a zero-copy view carrying the home region's
-  // strides. Offsets accumulate directly through stride arithmetic — no
-  // Point construction, no per-coordinate bounds re-derivation — since
-  // this runs per task per step on the steady-state path. The base is
-  // computed at the (unclamped) VarBase corner; in guarded edge tiles that
-  // corner can lie outside the instance rectangle, but every guarded point
-  // is skipped before being dereferenced, exactly as the clamp-and-adjust
-  // formulation guaranteed.
-  for (int A = 0; A < E.NumAcc; ++A) {
-    const Access &Acc = E.Accesses[A];
-    auto It = Insts.find(Acc.tensor());
-    DISTAL_ASSERT(It != Insts.end() && It->second,
-                  "leaf run without an instance for an accessed tensor");
-    Instance *Inst = It->second;
-    E.AccData[A] = Inst->data();
-    std::fill(E.AccCoef[A].begin(), E.AccCoef[A].end(), 0);
-    std::fill(E.CopyCoef[A].begin(), E.CopyCoef[A].end(), 0);
-    std::fill(E.ViewCoef[A].begin(), E.ViewCoef[A].end(), 0);
-    int64_t Base = 0;
-    const Rect &IR = Inst->rect();
-    const std::vector<Coord> &Shape = Acc.tensor().shape();
-    int64_t CopyStride = 1, ViewStride = 1; // Row-major, innermost first.
-    for (int D = Acc.tensor().order() - 1; D >= 0; --D) {
-      int V = E.OrigIdx[Acc.indices()[D]];
-      int64_t Stride = Inst->stride(D);
-      Base += (E.VarBase[V] - IR.lo()[D]) * Stride;
-      for (int I = 0; I < E.NumLeaf; ++I) {
-        E.AccCoef[A][I] += E.VarCoef[V][I] * Stride;
-        E.CopyCoef[A][I] += E.VarCoef[V][I] * CopyStride;
-        E.ViewCoef[A][I] += E.VarCoef[V][I] * ViewStride;
-      }
-      CopyStride *= std::max<Coord>(IR.hi()[D] - IR.lo()[D], 0);
-      ViewStride *= Shape[D];
-    }
-    E.AccBase[A] = Base;
-  }
-  return true;
+/// Coefficient \p Loop of access \p A in layout \p L.
+inline int64_t coefOf(const LeafShape &S, const LeafBinding &B, int L, int A,
+                      int Loop) {
+  return B.Coef[L][static_cast<size_t>(A * S.NumLeaf + Loop)];
 }
 
 /// Whether loop \p Outer of access \p A steps exactly \p InnerExtent
 /// iterations of loop \p Inner (Coef[Outer] == InnerExtent * Coef[Inner]),
 /// so the two run as one loop of Inner's stride — in both instance layouts,
 /// so the answer never depends on whether the access is bound as a view.
-bool fuses(const LeafEngine &E, int A, int Outer, int Inner,
-           Coord InnerExtent) {
-  return E.CopyCoef[A][Outer] == InnerExtent * E.CopyCoef[A][Inner] &&
-         E.ViewCoef[A][Outer] == InnerExtent * E.ViewCoef[A][Inner];
+bool fuses(const LeafShape &S, const LeafBinding &B, int A, int Outer,
+           int Inner, Coord InnerExtent) {
+  for (int L : {CopyLayout, ViewLayout})
+    if (coefOf(S, B, L, A, Outer) != InnerExtent * coefOf(S, B, L, A, Inner))
+      return false;
+  return true;
 }
 
 /// The most collapsed loops a GEMM route uses (MTTKRP's m, n, r, s).
@@ -353,107 +253,75 @@ struct CollapsedLoops {
   }
 };
 
-/// Collapses \p E's leaf loops into \p C; false when more than
-/// MaxRouteLoops remain.
-bool collapseLoops(const LeafEngine &E, CollapsedLoops &C) {
-  for (int D = 0; D < E.NumLeaf; ++D) {
+/// Collapses \p B's leaf loops into \p C; false when more than
+/// MaxRouteLoops remain, or when the two layouts disagree on which
+/// accesses a loop moves (the route must not depend on the layout).
+bool collapseLoops(const LeafShape &S, const LeafBinding &B,
+                   CollapsedLoops &C) {
+  for (int D = 0; D < S.NumLeaf; ++D) {
     bool Fused = D > 0;
-    for (int A = 0; Fused && A < E.NumAcc; ++A)
-      Fused = fuses(E, A, D - 1, D, E.LeafExtents[D]);
+    for (int A = 0; Fused && A < S.NumAcc; ++A)
+      Fused = fuses(S, B, A, D - 1, D, S.LeafExtents[D]);
     if (Fused) {
       C.Loop[C.Count - 1] = D;
-      C.Extent[C.Count - 1] *= E.LeafExtents[D];
+      C.Extent[C.Count - 1] *= S.LeafExtents[D];
       continue;
     }
     if (C.Count == MaxRouteLoops)
       return false;
     C.Loop[C.Count] = D;
-    C.Extent[C.Count] = E.LeafExtents[D];
+    C.Extent[C.Count] = S.LeafExtents[D];
     ++C.Count;
   }
   for (int L = 0; L < C.Count; ++L)
-    for (int A = 0; A < E.NumAcc; ++A)
-      if (E.AccCoef[A][C.Loop[L]] != 0)
+    for (int A = 0; A < S.NumAcc; ++A) {
+      bool CopyMoves = coefOf(S, B, CopyLayout, A, C.Loop[L]) != 0;
+      if (CopyMoves != (coefOf(S, B, ViewLayout, A, C.Loop[L]) != 0))
+        return false;
+      if (CopyMoves)
         C.Moves[L] |= 1u << A;
+    }
   return true;
 }
 
-/// Out[m,n] += P[m,(r,s)] * KR[(r,s),n] with KR[(r,s),n] = Q[r,n] * W[s,n]:
-/// the matricized MTTKRP. KR is built one blas::GemmBlockK-deep block of
-/// fused (r,s) rows at a time in the engine's workspace, and each block
-/// runs as one GEMM, in ascending order. P's r must step exactly ext(s)
-/// of its s, so P reads as an (m, r*s) matrix of stride coef(s).
-void runKhatriRaoGemm(LeafEngine &E, const LeafParallelism &LP,
-                      const CollapsedLoops &C, int P, int Q, int W, int M,
-                      int N, int R, int S) {
-  const auto &OC = E.AccCoef[0], &PC = E.AccCoef[P], &QC = E.AccCoef[Q],
-             &WC = E.AccCoef[W];
-  const int LM = C.Loop[M], LN = C.Loop[N], LR = C.Loop[R], LS = C.Loop[S];
-  const Coord ExtN = C.Extent[N], ExtS = C.Extent[S];
-  const Coord RS = C.Extent[R] * ExtS;
-  const size_t Need =
-      static_cast<size_t>(std::min(blas::GemmBlockK, RS) * ExtN);
-  if (E.Workspace.size() < Need) {
-    E.WorkspaceCharge.add(static_cast<int64_t>(Need - E.Workspace.size()) *
-                          8);
-    E.Workspace.resize(Need);
-  }
-  double *KR = E.Workspace.data();
-  const double *QBase = E.AccData[Q] + E.AccBase[Q];
-  const double *WBase = E.AccData[W] + E.AccBase[W];
-  Coord RI = 0, SI = 0; // (r, s) of fused row K0 + T.
-  for (Coord K0 = 0; K0 < RS; K0 += blas::GemmBlockK) {
-    const Coord KLen = std::min(blas::GemmBlockK, RS - K0);
-    for (Coord T = 0; T < KLen; ++T) {
-      const double *QRow = QBase + RI * QC[LR];
-      const double *WRow = WBase + SI * WC[LS];
-      double *Row = KR + T * ExtN;
-      for (Coord J = 0; J < ExtN; ++J)
-        Row[J] = QRow[J * QC[LN]] * WRow[J * WC[LN]];
-      if (++SI == ExtS) {
-        SI = 0;
-        ++RI;
-      }
-    }
-    blas::gemmGeneral(LP, E.AccData[0] + E.AccBase[0],
-                      E.AccData[P] + E.AccBase[P] + K0 * PC[LS], KR,
-                      C.Extent[M], ExtN, KLen, OC[LM], OC[LN], PC[LM], PC[LS],
-                      ExtN, 1);
-  }
-}
-
 /// Whole-leaf GEMM recogniser over the bound extents and coefficients.
-/// After collapseLoops, an unguarded leaf whose right-hand side is a plain
-/// product of accesses takes one of two routes, under arbitrary (possibly
-/// transposed) affine strides:
+/// After collapseLoops, an unguarded, accumulating leaf whose right-hand
+/// side is a plain product of accesses takes one of two routes, under
+/// arbitrary (possibly transposed) affine strides:
 ///  * GEMM: two operands over three loops, Out[m,n] += P[m,k] * Q[k,n]
 ///    (Cannon/SUMMA leaves; TTM, whose (ii, j) collapse into m).
 ///  * Khatri-Rao: three operands over four loops, Out[m,n] +=
 ///    P[m,r,s] * Q[r,n] * W[s,n] with P's (r, s) fusing (MTTKRP).
-/// Each loop's role is the set of accesses it moves. Returns false, having
-/// run nothing, for any other leaf.
-bool tryGemmLeaf(LeafEngine &E, const Tape &T, const LeafParallelism &LP) {
+/// Each loop's role is the set of accesses it moves. Any other leaf gets
+/// Kind::None. blas::gemm accumulates into C, so overwrite leaves (which by
+/// construction have no reduction loop) never route here.
+GemmRoute tryGemmLeaf(const LeafShape &S, const LeafBinding &B, const Tape &T,
+                      bool Overwrite) {
+  GemmRoute R;
   const size_t Ops = T.ProductAccs.size();
-  if (E.NeedGuard || E.ReadsOutput || !T.PureProduct || T.ProductLit != 1.0 ||
-      (Ops != 2 && Ops != 3))
-    return false;
+  if (Overwrite || B.Empty || B.NeedGuard || S.ReadsOutput ||
+      !T.PureProduct || T.ProductLit != 1.0 || (Ops != 2 && Ops != 3))
+    return R;
   CollapsedLoops C;
-  if (!collapseLoops(E, C) || C.Count != static_cast<int>(Ops) + 1)
-    return false;
+  if (!collapseLoops(S, B, C) || C.Count != static_cast<int>(Ops) + 1)
+    return R;
   const unsigned Out = 1u;
   if (Ops == 2) {
     const int P = T.ProductAccs[0], Q = T.ProductAccs[1];
     const unsigned PB = 1u << P, QB = 1u << Q;
     int M = C.find(Out | PB), N = C.find(Out | QB), K = C.find(PB | QB);
     if (M < 0 || N < 0 || K < 0)
-      return false;
-    const auto &OC = E.AccCoef[0], &PC = E.AccCoef[P], &QC = E.AccCoef[Q];
-    const int LM = C.Loop[M], LN = C.Loop[N], LK = C.Loop[K];
-    blas::gemmGeneral(LP, E.AccData[0] + E.AccBase[0],
-                      E.AccData[P] + E.AccBase[P], E.AccData[Q] + E.AccBase[Q],
-                      C.Extent[M], C.Extent[N], C.Extent[K], OC[LM], OC[LN],
-                      PC[LM], PC[LK], QC[LK], QC[LN]);
-    return true;
+      return R;
+    R.K = GemmRoute::Kind::Gemm;
+    R.P = P;
+    R.Q = Q;
+    R.LM = C.Loop[M];
+    R.LN = C.Loop[N];
+    R.LK = C.Loop[K];
+    R.M = C.Extent[M];
+    R.N = C.Extent[N];
+    R.KExt = C.Extent[K];
+    return R;
   }
   // P is the operand n does not move; the other two each share one of P's
   // contracted loops, and P's fusion order decides which one is r.
@@ -462,19 +330,80 @@ bool tryGemmLeaf(LeafEngine &E, const Tape &T, const LeafParallelism &LP) {
     int Q = T.ProductAccs[(I + 1) % 3], W = T.ProductAccs[(I + 2) % 3];
     const unsigned PB = 1u << P, QB = 1u << Q, WB = 1u << W;
     int M = C.find(Out | PB), N = C.find(Out | QB | WB);
-    int R = C.find(PB | QB), S = C.find(PB | WB);
-    if (M < 0 || N < 0 || R < 0 || S < 0)
+    int Rl = C.find(PB | QB), Sl = C.find(PB | WB);
+    if (M < 0 || N < 0 || Rl < 0 || Sl < 0)
       continue;
-    if (!fuses(E, P, C.Loop[R], C.Loop[S], C.Extent[S])) {
-      if (!fuses(E, P, C.Loop[S], C.Loop[R], C.Extent[R]))
-        return false;
+    if (!fuses(S, B, P, C.Loop[Rl], C.Loop[Sl], C.Extent[Sl])) {
+      if (!fuses(S, B, P, C.Loop[Sl], C.Loop[Rl], C.Extent[Rl]))
+        return R;
       std::swap(Q, W);
-      std::swap(R, S);
+      std::swap(Rl, Sl);
     }
-    runKhatriRaoGemm(E, LP, C, P, Q, W, M, N, R, S);
-    return true;
+    R.K = GemmRoute::Kind::KhatriRao;
+    R.P = P;
+    R.Q = Q;
+    R.W = W;
+    R.LM = C.Loop[M];
+    R.LN = C.Loop[N];
+    R.LK = C.Loop[Rl];
+    R.LS = C.Loop[Sl];
+    R.M = C.Extent[M];
+    R.N = C.Extent[N];
+    R.KExt = C.Extent[Rl];
+    R.S = C.Extent[Sl];
+    R.WorkspaceElems = std::min(blas::GemmBlockK, R.KExt * R.S) * R.N;
+    return R;
   }
-  return false;
+  return R;
+}
+
+/// Out[m,n] += P[m,(r,s)] * KR[(r,s),n] with KR[(r,s),n] = Q[r,n] * W[s,n]:
+/// the matricized MTTKRP. KR is built one blas::GemmBlockK-deep block of
+/// fused (r,s) rows at a time in the engine's workspace, and each block
+/// runs as one GEMM, in ascending order. P's r must step exactly ext(s)
+/// of its s, so P reads as an (m, r*s) matrix of stride coef(s).
+void runKhatriRaoGemm(LeafEngine &E, const GemmRoute &R,
+                      const LeafParallelism &LP) {
+  const int64_t *OC = E.AccCoef[0], *PC = E.AccCoef[R.P],
+                *QC = E.AccCoef[R.Q], *WC = E.AccCoef[R.W];
+  const Coord ExtN = R.N, ExtS = R.S;
+  const Coord RS = R.KExt * ExtS;
+  DISTAL_ASSERT(static_cast<int64_t>(E.Workspace.size()) >= R.WorkspaceElems,
+                "Khatri-Rao workspace smaller than its compiled size");
+  double *KR = E.Workspace.data();
+  const double *QBase = E.AccData[R.Q] + E.AccBase[R.Q];
+  const double *WBase = E.AccData[R.W] + E.AccBase[R.W];
+  Coord RI = 0, SI = 0; // (r, s) of fused row K0 + T.
+  for (Coord K0 = 0; K0 < RS; K0 += blas::GemmBlockK) {
+    const Coord KLen = std::min(blas::GemmBlockK, RS - K0);
+    for (Coord T = 0; T < KLen; ++T) {
+      const double *QRow = QBase + RI * QC[R.LK];
+      const double *WRow = WBase + SI * WC[R.LS];
+      double *Row = KR + T * ExtN;
+      for (Coord J = 0; J < ExtN; ++J)
+        Row[J] = QRow[J * QC[R.LN]] * WRow[J * WC[R.LN]];
+      if (++SI == ExtS) {
+        SI = 0;
+        ++RI;
+      }
+    }
+    blas::gemmGeneral(LP, E.AccData[0] + E.AccBase[0],
+                      E.AccData[R.P] + E.AccBase[R.P] + K0 * PC[R.LS], KR,
+                      R.M, ExtN, KLen, OC[R.LM], OC[R.LN], PC[R.LM], PC[R.LS],
+                      ExtN, 1);
+  }
+}
+
+/// Out[m,n] += P[m,k] * Q[k,n] as one GEMM.
+void runGemm(const LeafEngine &E, const GemmRoute &R,
+             const LeafParallelism &LP) {
+  const int64_t *OC = E.AccCoef[0], *PC = E.AccCoef[R.P],
+                *QC = E.AccCoef[R.Q];
+  blas::gemmGeneral(LP, E.AccData[0] + E.AccBase[0],
+                    E.AccData[R.P] + E.AccBase[R.P],
+                    E.AccData[R.Q] + E.AccBase[R.Q], R.M, R.N, R.KExt,
+                    OC[R.LM], OC[R.LN], PC[R.LM], PC[R.LK], QC[R.LK],
+                    QC[R.LN]);
 }
 
 /// How the innermost leaf loop executes.
@@ -495,12 +424,14 @@ enum class InnerKind {
 /// \p Overwrite assigns output elements instead of accumulating (see
 /// runCompiledLeaf); the exactly-once proof behind it guarantees each
 /// element is written by a single (row, trip) so plain stores suffice.
-void runGeneralLeaf(LeafEngine &E, const Tape &T, const LeafParallelism &LP,
-                    bool Overwrite) {
+void runGeneralLeaf(LeafEngine &E, const LeafShape &Sh, const LeafBinding &B,
+                    const Tape &T, const LeafParallelism &LP, bool Overwrite) {
+  const int NL = Sh.NumLeaf;
+  auto VarCoef = [&](int V, int I) { return B.VarCoef[V * NL + I]; };
   // A leaf with no loops is a single (guarded) point.
-  if (E.NumLeaf == 0) {
-    for (int V = 0; V < E.NumOrig; ++V)
-      if (E.VarBase[V] >= E.VarExtent[V])
+  if (NL == 0) {
+    for (int V = 0; V < Sh.NumOrig; ++V)
+      if (B.VarBase[V] >= Sh.VarExtent[V])
         return;
     double Val =
         evalTape(T.Ins, E.AccData.data(), E.AccBase.data(), E.Stack.data());
@@ -511,19 +442,21 @@ void runGeneralLeaf(LeafEngine &E, const Tape &T, const LeafParallelism &LP,
     return;
   }
 
-  int Inner = E.NumLeaf - 1;
-  Coord InnerExtent = E.LeafExtents[Inner];
+  int Inner = NL - 1;
+  Coord InnerExtent = Sh.LeafExtents[Inner];
   int64_t OutIC = E.AccCoef[0][Inner];
 
   // Pick the innermost kernel once per step.
-  std::vector<int> Varying, Invariant; // Rhs product accesses.
+  std::vector<int> &Varying = E.Varying, &Invariant = E.Invariant;
+  Varying.clear(); // Rhs product accesses.
+  Invariant.clear();
   if (T.PureProduct)
     for (int A : T.ProductAccs)
       (E.AccCoef[A][Inner] != 0 ? Varying : Invariant).push_back(A);
   // A block reads all its operands before it stores, so a right-hand side
   // that reads the output (and must see the partial sums of the points
   // before it) runs per point, as does a tape deeper than the block slots.
-  InnerKind Kind = !E.ReadsOutput && T.MaxDepth <= BlockSlots
+  InnerKind Kind = !Sh.ReadsOutput && T.MaxDepth <= BlockSlots
                        ? InnerKind::TapeBlocks
                        : InnerKind::TapeLoop;
   if (T.PureProduct) {
@@ -539,16 +472,16 @@ void runGeneralLeaf(LeafEngine &E, const Tape &T, const LeafParallelism &LP,
   // Negative innermost coefficients make the hoisted guard bound invalid;
   // fall back to per-point guarding through the tape.
   bool PerPointGuard = false;
-  if (E.NeedGuard)
-    for (int V = 0; V < E.NumOrig; ++V)
-      if (E.VarCoef[V][Inner] < 0) {
+  if (B.NeedGuard)
+    for (int V = 0; V < Sh.NumOrig; ++V)
+      if (VarCoef(V, Inner) < 0) {
         PerPointGuard = true;
         Kind = InnerKind::TapeLoop;
         break;
       }
 
   std::copy(E.AccBase.begin(), E.AccBase.end(), E.CurOff.begin());
-  std::copy(E.VarBase.begin(), E.VarBase.end(), E.CurVal.begin());
+  std::copy(B.VarBase.begin(), B.VarBase.end(), E.CurVal.begin());
   std::fill(E.Odometer.begin(), E.Odometer.end(), 0);
 
   double *const *Data = E.AccData.data();
@@ -556,15 +489,15 @@ void runGeneralLeaf(LeafEngine &E, const Tape &T, const LeafParallelism &LP,
     // Hoist the guard: the largest prefix of the innermost loop whose
     // recovered original variables all stay inside their extents.
     Coord Trips = InnerExtent;
-    if (E.NeedGuard && !PerPointGuard) {
-      for (int V = 0; V < E.NumOrig; ++V) {
-        Coord C = E.VarCoef[V][Inner];
-        if (E.CurVal[V] >= E.VarExtent[V]) {
+    if (B.NeedGuard && !PerPointGuard) {
+      for (int V = 0; V < Sh.NumOrig; ++V) {
+        Coord C = VarCoef(V, Inner);
+        if (E.CurVal[V] >= Sh.VarExtent[V]) {
           Trips = 0;
           break;
         }
         if (C > 0)
-          Trips = std::min(Trips, (E.VarExtent[V] - E.CurVal[V] + C - 1) / C);
+          Trips = std::min(Trips, (Sh.VarExtent[V] - E.CurVal[V] + C - 1) / C);
       }
     }
 
@@ -643,8 +576,8 @@ void runGeneralLeaf(LeafEngine &E, const Tape &T, const LeafParallelism &LP,
         for (Coord I = 0; I < Trips; ++I) {
           bool Skip = false;
           if (PerPointGuard)
-            for (int V = 0; V < E.NumOrig; ++V)
-              if (E.CurVal[V] + I * E.VarCoef[V][Inner] >= E.VarExtent[V]) {
+            for (int V = 0; V < Sh.NumOrig; ++V)
+              if (E.CurVal[V] + I * VarCoef(V, Inner) >= Sh.VarExtent[V]) {
                 Skip = true;
                 break;
               }
@@ -655,7 +588,7 @@ void runGeneralLeaf(LeafEngine &E, const Tape &T, const LeafParallelism &LP,
             else
               Data[0][E.RowOff[0]] += Val;
           }
-          for (int A = 0; A < E.NumAcc; ++A)
+          for (int A = 0; A < Sh.NumAcc; ++A)
             E.RowOff[A] += E.AccCoef[A][Inner];
         }
         break;
@@ -665,16 +598,16 @@ void runGeneralLeaf(LeafEngine &E, const Tape &T, const LeafParallelism &LP,
     // Advance the odometer over the outer leaf loops.
     int D = Inner - 1;
     for (; D >= 0; --D) {
-      for (int A = 0; A < E.NumAcc; ++A)
+      for (int A = 0; A < Sh.NumAcc; ++A)
         E.CurOff[A] += E.AccCoef[A][D];
-      for (int V = 0; V < E.NumOrig; ++V)
-        E.CurVal[V] += E.VarCoef[V][D];
-      if (++E.Odometer[D] < E.LeafExtents[D])
+      for (int V = 0; V < Sh.NumOrig; ++V)
+        E.CurVal[V] += VarCoef(V, D);
+      if (++E.Odometer[D] < Sh.LeafExtents[D])
         break;
-      for (int A = 0; A < E.NumAcc; ++A)
-        E.CurOff[A] -= E.AccCoef[A][D] * E.LeafExtents[D];
-      for (int V = 0; V < E.NumOrig; ++V)
-        E.CurVal[V] -= E.VarCoef[V][D] * E.LeafExtents[D];
+      for (int A = 0; A < Sh.NumAcc; ++A)
+        E.CurOff[A] -= E.AccCoef[A][D] * Sh.LeafExtents[D];
+      for (int V = 0; V < Sh.NumOrig; ++V)
+        E.CurVal[V] -= VarCoef(V, D) * Sh.LeafExtents[D];
       E.Odometer[D] = 0;
     }
     if (D < 0)
@@ -691,16 +624,139 @@ Tape distal::leaf::compileTape(const Expr &Rhs) {
   return T;
 }
 
-void distal::leaf::runCompiledLeaf(LeafEngine &E, const Plan &P,
-                                   const std::map<IndexVar, Coord> &FixedVals,
-                                   std::map<TensorVar, Instance *> &Insts,
-                                   const Tape &T, const LeafParallelism &LP,
-                                   bool Overwrite) {
-  if (!prepareStep(E, P, FixedVals, Insts, T))
+LeafShape distal::leaf::compileLeafShape(const Plan &P,
+                                         const std::vector<TensorVar> &Slots) {
+  const Assignment &Stmt = P.Nest.Stmt;
+  const ProvenanceGraph &Prov = P.Nest.Prov;
+  LeafShape S;
+  S.LeafV = P.leafVars();
+  S.OrigV = Stmt.defaultLoopOrder();
+  S.Accesses = Stmt.accesses();
+  S.NumLeaf = static_cast<int>(S.LeafV.size());
+  S.NumOrig = static_cast<int>(S.OrigV.size());
+  S.NumAcc = static_cast<int>(S.Accesses.size());
+  for (const Access &A : S.Accesses)
+    S.AccSlot.push_back(static_cast<int>(
+        std::find(Slots.begin(), Slots.end(), A.tensor()) - Slots.begin()));
+  for (int A = 1; A < S.NumAcc; ++A)
+    S.ReadsOutput |= S.Accesses[A].tensor() == S.Accesses[0].tensor();
+  for (const IndexVar &V : S.LeafV)
+    S.LeafExtents.push_back(Prov.extent(V));
+  for (const IndexVar &V : S.OrigV)
+    S.VarExtent.push_back(Prov.extent(V));
+  return S;
+}
+
+LeafBinding distal::leaf::bindLeaf(const Plan &P, const LeafShape &S,
+                                   const Tape &T,
+                                   std::map<IndexVar, Coord> &Vals,
+                                   const std::vector<const Rect *> &SlotRect,
+                                   bool Overwrite, std::vector<Coord> &Coefs) {
+  const ProvenanceGraph &Prov = P.Nest.Prov;
+  LeafBinding B;
+  setLeafVals(S, Vals, [](int) { return 0; });
+  for (const IndexVar &V : S.OrigV)
+    B.VarBase.push_back(Prov.recoverValue(V, Vals));
+  // The coefficient structure almost never moves between steps: reuse the
+  // previous step's while it predicts this step's far corner.
+  bool Fresh = Coefs.empty();
+  if (Fresh)
+    computeVarCoefs(S, Prov, Vals, B.VarBase, Coefs);
+  if (!verifyAffineStructure(S, Prov, Vals, B.VarBase, Coefs, B.NeedGuard) &&
+      (Fresh || (computeVarCoefs(S, Prov, Vals, B.VarBase, Coefs),
+                 !verifyAffineStructure(S, Prov, Vals, B.VarBase, Coefs,
+                                        B.NeedGuard))))
+    reportFatalError("leaf loops are not affine in the leaf variables; "
+                     "rotate must be applied to sequential step loops only");
+  B.VarCoef = Coefs;
+  for (Coord Ext : S.LeafExtents)
+    B.Empty |= Ext == 0;
+  if (B.Empty)
+    return B;
+
+  // Offsets in elements, for both layouts an instance can take: a packed
+  // copy of the slot's last gathered rectangle (row-major over its
+  // extents) and a view with the tensor's row-major strides, both taken
+  // from the rectangle's lo corner.
+  const size_t NL = static_cast<size_t>(S.NumLeaf);
+  for (int L : {CopyLayout, ViewLayout}) {
+    B.Base[L].assign(static_cast<size_t>(S.NumAcc), 0);
+    B.Coef[L].assign(static_cast<size_t>(S.NumAcc) * NL, 0);
+  }
+  for (int A = 0; A < S.NumAcc; ++A) {
+    const Access &Acc = S.Accesses[A];
+    const Rect *IR = SlotRect[static_cast<size_t>(S.AccSlot[A])];
+    if (!IR)
+      throwError(ErrorCode::Internal,
+                 "leaf run without an instance for accessed tensor '" +
+                     Acc.tensor().name() + "'");
+    const std::vector<Coord> &Shape = Acc.tensor().shape();
+    int64_t Stride[2] = {1, 1}; // Row-major, innermost first.
+    for (int D = Acc.tensor().order() - 1; D >= 0; --D) {
+      int V = static_cast<int>(
+          std::find(S.OrigV.begin(), S.OrigV.end(), Acc.indices()[D]) -
+          S.OrigV.begin());
+      for (int L : {CopyLayout, ViewLayout}) {
+        B.Base[L][static_cast<size_t>(A)] +=
+            (B.VarBase[V] - IR->lo()[D]) * Stride[L];
+        for (size_t I = 0; I < NL; ++I)
+          B.Coef[L][A * NL + I] += B.VarCoef[V * NL + I] * Stride[L];
+      }
+      Stride[CopyLayout] *= std::max<Coord>(IR->hi()[D] - IR->lo()[D], 0);
+      Stride[ViewLayout] *= Shape[D];
+    }
+  }
+  B.Route = tryGemmLeaf(S, B, T, Overwrite);
+  return B;
+}
+
+int64_t LeafBinding::footprintBytes() const {
+  size_t Elems = VarBase.size() + VarCoef.size();
+  for (int L : {CopyLayout, ViewLayout})
+    Elems += Base[L].size() + Coef[L].size();
+  return static_cast<int64_t>(sizeof(LeafBinding) + Elems * 8);
+}
+
+void LeafEngine::size(const LeafShape &S, const Tape &T,
+                      int64_t WorkspaceElems) {
+  const size_t NumAcc = static_cast<size_t>(S.NumAcc);
+  AccData.assign(NumAcc, nullptr);
+  AccBase.assign(NumAcc, 0);
+  AccCoef.assign(NumAcc, nullptr);
+  Stack.resize(static_cast<size_t>(std::max(T.MaxDepth, 1)));
+  CurOff.resize(NumAcc);
+  RowOff.resize(NumAcc);
+  CurVal.resize(static_cast<size_t>(S.NumOrig));
+  Odometer.assign(static_cast<size_t>(std::max(S.NumLeaf - 1, 0)), 0);
+  Varying.reserve(NumAcc);
+  Invariant.reserve(NumAcc);
+  Workspace.resize(static_cast<size_t>(WorkspaceElems));
+}
+
+void distal::leaf::runCompiledLeaf(LeafEngine &E, const LeafShape &S,
+                                   const LeafBinding &B,
+                                   double *const *SlotData,
+                                   const uint8_t *SlotView, const Tape &T,
+                                   const LeafParallelism &LP, bool Overwrite) {
+  if (B.Empty)
     return;
-  // blas::gemm accumulates into C; overwrite leaves (which by construction
-  // have no reduction loop) take the strided-update path instead.
-  if (!Overwrite && tryGemmLeaf(E, T, LP))
+  const size_t NL = static_cast<size_t>(S.NumLeaf);
+  for (int A = 0; A < S.NumAcc; ++A) {
+    const int Slot = S.AccSlot[static_cast<size_t>(A)];
+    const int L = SlotView[Slot] ? ViewLayout : CopyLayout;
+    E.AccData[A] = SlotData[Slot];
+    E.AccBase[A] = B.Base[L][static_cast<size_t>(A)];
+    E.AccCoef[A] = B.Coef[L].data() + A * NL;
+  }
+  switch (B.Route.K) {
+  case GemmRoute::Kind::Gemm:
+    runGemm(E, B.Route, LP);
     return;
-  runGeneralLeaf(E, T, LP, Overwrite);
+  case GemmRoute::Kind::KhatriRao:
+    runKhatriRaoGemm(E, B.Route, LP);
+    return;
+  case GemmRoute::Kind::None:
+    break;
+  }
+  runGeneralLeaf(E, S, B, T, LP, Overwrite);
 }

@@ -429,12 +429,11 @@ PlanAnalysisResult distal::analyzePlan(const Plan &P, const Mapper &Map) {
   return Result;
 }
 
-/// True when every point of \p R lies in some rectangle of \p Cover.
-/// Guillotine recursion: intersect with the first overlapping cover
-/// rectangle, peel the uncovered remainder into disjoint slabs, and require
-/// each slab covered in turn. Terminates because every recursion strictly
-/// shrinks the uncovered volume.
-static bool coveredByUnion(const Rect &R, const std::vector<Rect> &Cover) {
+// Guillotine recursion: intersect with the first overlapping cover
+// rectangle, peel the uncovered remainder into disjoint slabs, and require
+// each slab covered in turn. Terminates because every recursion strictly
+// shrinks the uncovered volume.
+bool distal::coveredByUnion(const Rect &R, const std::vector<Rect> &Cover) {
   if (R.isEmpty())
     return true;
   for (const Rect &C : Cover) {

@@ -90,6 +90,9 @@ struct ProgramLinkResult {
 ProgramLinkResult
 analyzeProgramLinks(const std::vector<const CompiledPlan *> &Members);
 
+/// True when every point of \p R lies in some rectangle of \p Cover.
+bool coveredByUnion(const Rect &R, const std::vector<Rect> &Cover);
+
 /// Messages needed to materialise rectangle \p R of tensor \p T in the
 /// memory of \p DstProc, fetching each piece from the replica nearest the
 /// destination (exposed for testing the communication analysis).

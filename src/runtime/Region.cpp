@@ -121,7 +121,6 @@ static int64_t loCornerOffset(const Rect &Bounds,
 
 void Instance::reset(Rect R) {
   Bounds = std::move(R);
-  View = nullptr;
   std::vector<Coord> Extents(Bounds.dim());
   for (int I = 0; I < Bounds.dim(); ++I)
     Extents[I] = std::max<Coord>(Bounds.hi()[I] - Bounds.lo()[I], 0);
@@ -139,17 +138,6 @@ void Instance::reserve(int64_t Elems) {
   Data.reserve(static_cast<size_t>(std::max<int64_t>(Elems, 1)));
 }
 
-void Instance::bindView(double *Ptr, Rect R,
-                        const std::vector<Coord> &ViewStrides) {
-  DISTAL_ASSERT(Ptr != nullptr, "view bound to null storage");
-  DISTAL_ASSERT(static_cast<int>(ViewStrides.size()) == R.dim(),
-                "view stride dimension mismatch");
-  Bounds = std::move(R);
-  Strides = ViewStrides;
-  BaseOff = loCornerOffset(Bounds, Strides);
-  View = Ptr; // offset(lo) == 0, so data()[offset(lo)] lands on *Ptr.
-}
-
 int64_t Instance::offset(const Point &Global) const {
   DISTAL_ASSERT(Bounds.contains(Global), "instance access out of bounds");
   int64_t Off = BaseOff;
@@ -164,7 +152,6 @@ int64_t Instance::stride(int D) const {
 }
 
 void Instance::zero() {
-  DISTAL_ASSERT(!isView(), "zero() on a view would clobber region storage");
   if (!Data.empty())
     std::memset(Data.data(), 0, Data.size() * sizeof(double));
 }
@@ -226,8 +213,6 @@ void Region::gatherInto(Instance &I, const LeafParallelism &LP) const {
   const Rect &R = I.rect();
   DISTAL_ASSERT(Rect::forExtents(shape()).contains(R) || R.isEmpty(),
                 "gather rectangle outside region bounds");
-  DISTAL_ASSERT(!I.isView(), "gather into a view would clobber region "
-                             "storage");
   double *Dst = I.data();
   const double *Src = Data.data();
   RunDecomposition D = decomposeRuns(R, shape());
@@ -295,8 +280,6 @@ void Region::gatherCompiled(Instance &I, const GatherRuns &GR,
     gatherInto(I, LP);
     return;
   }
-  DISTAL_ASSERT(!I.isView(), "gather into a view would clobber region "
-                             "storage");
   int64_t NumRuns = GR.numRuns();
   if (NumRuns == 0 || GR.RunLen == 0)
     return;
@@ -331,21 +314,10 @@ void Region::gatherCompiled(Instance &I, const GatherRuns &GR,
   });
 }
 
-void Region::bindView(Instance &I, const Rect &R) {
-  DISTAL_ASSERT(Rect::forExtents(shape()).contains(R) || R.isEmpty(),
-                "view rectangle outside region bounds");
-  int64_t Base = 0;
-  for (int D = 0; D < R.dim(); ++D)
-    Base += R.lo()[D] * Strides[D];
-  I.bindView(Data.data() + Base, R, Strides);
-}
-
 void Region::reduceBack(const Instance &I) {
   DISTAL_ASSERT(Rect::forExtents(shape()).contains(I.rect()) ||
                     I.rect().isEmpty(),
                 "instance rectangle outside region bounds");
-  DISTAL_ASSERT(!I.isView(), "writeback of a view: an aliased accumulator "
-                             "already lives in the region and is elided");
   double *Dst = Data.data();
   const double *Src = I.data();
   forEachRun(I.rect(), shape(), Strides,
@@ -358,8 +330,6 @@ void Region::reduceBack(const Instance &I) {
 }
 
 void Region::reduceBackRows(const Instance &I, Coord RowLo, Coord RowHi) {
-  DISTAL_ASSERT(!I.isView(), "writeback of a view: an aliased accumulator "
-                             "already lives in the region and is elided");
   const Rect &R = I.rect();
   if (R.dim() == 0) { // Scalar: assigned to stripe containing row 0.
     if (RowLo <= 0 && 0 < RowHi)
@@ -391,8 +361,6 @@ void Region::writeBack(const Instance &I) {
   DISTAL_ASSERT(Rect::forExtents(shape()).contains(I.rect()) ||
                     I.rect().isEmpty(),
                 "instance rectangle outside region bounds");
-  DISTAL_ASSERT(!I.isView(), "writeback of a view: aliased data already "
-                             "lives in the region");
   double *Dst = Data.data();
   const double *Src = I.data();
   forEachRun(I.rect(), shape(), Strides,

@@ -27,44 +27,29 @@
 
 namespace distal {
 
-/// A physical instance: the data of one rectangle of a region, resident in
-/// one processor's memory. Two storage modes share one binding interface
-/// (rect/stride/offset/data), so the leaf engine never distinguishes them:
-///
-///  * Owned (the default): a packed row-major buffer the runtime gathers
-///    the rectangle's bytes into — the model of a copy materialised in the
-///    executing processor's memory.
-///  * View (bindView): a non-owning alias of the rectangle where it already
-///    sits in a Region's backing storage, with the region's strides. Zero
-///    bytes move; the executor binds these when compile-time alias analysis
-///    proved the rectangle home-resident on the executing processor.
+/// A physical instance: a packed row-major copy of one rectangle of a
+/// region, resident in one processor's memory — the model of a copy
+/// materialised in the executing processor's memory. A zero-copy view
+/// needs no Instance: the engine binds it as a pointer into Region storage
+/// at the offset recorded with the gather (GatherRuns::RegBase), read with
+/// the region's strides.
 class Instance {
 public:
   Instance() = default;
   explicit Instance(Rect R);
 
-  /// Rebinds the instance to rectangle \p R in owned mode (leaving any view
-  /// mode), reusing the existing storage when its capacity suffices (the
-  /// steady-state path of a CompiledPlan re-binds the same buffers every
-  /// execution). Element values are unspecified afterwards; callers gather
-  /// into or zero() the instance.
+  /// Rebinds the instance to rectangle \p R, reusing the existing storage
+  /// when its capacity suffices (the steady-state path of a CompiledPlan
+  /// re-binds the same buffers every execution). Element values are
+  /// unspecified afterwards; callers gather into or zero() the instance.
   void reset(Rect R);
   /// Pre-sizes the backing storage for \p Elems elements so later reset()
   /// calls never allocate.
   void reserve(int64_t Elems);
 
-  /// Rebinds the instance as a zero-copy view: \p Ptr addresses the element
-  /// at \p R's lo corner inside some larger storage whose per-dimension
-  /// element strides are \p ViewStrides. The owned buffer is kept (unused)
-  /// so a later reset() returns to owned mode without reallocating.
-  void bindView(double *Ptr, Rect R, const std::vector<Coord> &ViewStrides);
-  bool isView() const { return View != nullptr; }
-
   const Rect &rect() const { return Bounds; }
-  bool valid() const {
-    return Bounds.dim() >= 0 && (View != nullptr || !Data.empty());
-  }
-  /// Bytes of owned backing storage (0 for a pure view that never owned).
+  bool valid() const { return Bounds.dim() >= 0 && !Data.empty(); }
+  /// Bytes of backing storage.
   int64_t bytes() const { return static_cast<int64_t>(Data.size()) * 8; }
 
   /// Element access by global (region) coordinates.
@@ -72,18 +57,15 @@ public:
   double &at(const Point &Global) { return data()[offset(Global)]; }
 
   /// Offset of a global coordinate within this instance's storage
-  /// (row-major over the rectangle when owned; the view strides when
-  /// viewing). The lo-corner term is precomputed at bind time, so this is
-  /// a pure multiply-add over the coordinates.
+  /// (row-major over the rectangle). The lo-corner term is precomputed at
+  /// reset, so this is a pure multiply-add over the coordinates.
   int64_t offset(const Point &Global) const;
   /// Element stride of dimension \p D within this instance.
   int64_t stride(int D) const;
 
-  double *data() { return View ? View : Data.data(); }
-  const double *data() const { return View ? View : Data.data(); }
+  double *data() { return Data.data(); }
+  const double *data() const { return Data.data(); }
 
-  /// Owned mode only: a view aliases region storage the instance does not
-  /// own (the executor zeroes the region once instead).
   void zero();
 
 private:
@@ -93,7 +75,6 @@ private:
   /// offset() needs no per-coordinate lo subtraction.
   int64_t BaseOff = 0;
   std::vector<double> Data;
-  double *View = nullptr;
 };
 
 /// A compile-time coalesced copy program for one rectangle of a region: the
@@ -189,12 +170,6 @@ public:
   /// are identical to gatherInto.
   void gatherCompiled(Instance &I, const GatherRuns &GR,
                       const LeafParallelism &LP = {}) const;
-  /// Binds \p I as a zero-copy view of rectangle \p R where it sits in this
-  /// region's backing storage (home-resident data: no bytes move). The
-  /// caller owns the aliasing proof — notably that nothing mutates the
-  /// viewed storage while leaves read it, and that a viewed output
-  /// accumulator is the rectangle's only writer.
-  void bindView(Instance &I, const Rect &R);
   /// Accumulates (+=) an instance's contents back into the region.
   void reduceBack(const Instance &I);
   /// Accumulates only the rows (dim-0 coordinates) of \p I that fall in

@@ -86,6 +86,27 @@ TEST(Api, CompileExposesPlan) {
   EXPECT_EQ(CP->plan().fingerprint(), P.fingerprint());
 }
 
+// Rotating a leaf loop makes the leaf offsets non-affine in the leaf
+// variables. Every leaf is bound when the plan compiles, so compilation
+// reports it, before any execution.
+TEST(ApiError, NonAffineLeafFailsCompilation) {
+  Machine M = Machine::grid({2, 2});
+  Tensor A("A", {8, 8}, tiles()), B("B", {8, 8}, tiles()),
+      C("C", {8, 8}, tiles());
+  IndexVar I("i"), J("j"), K("k"), Io("io"), Ii("ii"), Jo("jo"), Ji("ji"),
+      Iis("iis");
+  A(I, J) = B(I, K) * C(K, J);
+  A.schedule()
+      .distribute({I, J}, {Io, Jo}, {Ii, Ji}, M)
+      .rotate(Ii, {Io, Jo}, Iis);
+  StatusOr<std::shared_ptr<CompiledPlan>> CP = A.tryCompile(M);
+  ASSERT_FALSE(CP.ok());
+  EXPECT_EQ(CP.status().code(), ErrorCode::InvalidArgument);
+  EXPECT_NE(CP.status().message().find("leaf loops are not affine"),
+            std::string::npos)
+      << CP.status().str();
+}
+
 TEST(ApiError, ScheduleBeforeComputationThrows) {
   Tensor A("A", {4, 4}, tiles());
   EXPECT_DISTAL_ERROR(A.schedule(), "no computation");

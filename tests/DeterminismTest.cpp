@@ -26,6 +26,8 @@
 #include "runtime/Executor.h"
 #include "runtime/Region.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "Seed.h"
@@ -409,26 +411,34 @@ TEST(Determinism, ZeroSkipOverwriteLeaves) {
     EXPECT_EQ(CP.zeroSkipTaskCount(), Case.ZeroSkipTasks);
     seed::Engine RefEngine(Case.P);
     const TensorVar &Out = Case.Tensors[0];
-    for (int Threads : {1, 8}) {
-      // Interpreted reference (always zeroes; no overwrite mode) and the
-      // compiled plan advance in lockstep over two rounds: the second
-      // execution reuses instance buffers holding the previous results —
-      // exactly the state a broken overwrite would leak.
-      std::vector<std::unique_ptr<Region>> RefStorage, Storage;
-      auto RefRegions = fillRegions(Case, RefStorage);
-      auto Regions = fillRegions(Case, Storage);
-      ExecOptions Opts;
-      Opts.NumThreads = Threads;
-      for (int Round = 0; Round < 2; ++Round) {
-        RefEngine.execute(RefRegions);
-        CP.execute(Regions, Opts);
-        Rect::forExtents(Out.shape()).forEachPoint([&](const Point &Pt) {
-          ASSERT_EQ(Regions[Out]->at(Pt), RefRegions[Out]->at(Pt))
-              << Threads << " threads, round " << Round << " at "
-              << Pt.str();
-        });
+    for (bool Views : {true, false})
+      for (int Threads : {1, 8}) {
+        // Interpreted reference (always zeroes; no overwrite mode) and the
+        // compiled plan advance in lockstep over two rounds: the second
+        // execution reuses instance buffers holding the previous results —
+        // exactly the state a broken overwrite would leak. The compiled
+        // side's output starts every round as NaN: where the engine skips
+        // the region-wide zero as dead, an element no task overwrote would
+        // keep it.
+        std::vector<std::unique_ptr<Region>> RefStorage, Storage;
+        auto RefRegions = fillRegions(Case, RefStorage);
+        auto Regions = fillRegions(Case, Storage);
+        ExecOptions Opts;
+        Opts.NumThreads = Threads;
+        Opts.ZeroCopyViews = Views;
+        for (int Round = 0; Round < 2; ++Round) {
+          RefEngine.execute(RefRegions);
+          Regions[Out]->fill([](const Point &) {
+            return std::numeric_limits<double>::quiet_NaN();
+          });
+          CP.execute(Regions, Opts);
+          Rect::forExtents(Out.shape()).forEachPoint([&](const Point &Pt) {
+            ASSERT_EQ(Regions[Out]->at(Pt), RefRegions[Out]->at(Pt))
+                << (Views ? "views, " : "copies, ") << Threads
+                << " threads, round " << Round << " at " << Pt.str();
+          });
+        }
       }
-    }
   }
 
   // A reducing statement must never skip its zero.

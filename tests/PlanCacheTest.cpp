@@ -178,6 +178,14 @@ TEST(PlanCache, KeyingSeparatesWhatCompilationDependsOn) {
     P(I) = Expr(Q(I)) * Expr(2.0);
     P.schedule().distribute({I}, {Io}, {Ii}, MFlat);
     EXPECT_NE(P.planKey(MFlat), P.planKey(MNodes));
+    // The compile memo compares machines structurally too: compiling for
+    // the grouped machine right after the flat one must not hand back the
+    // flat machine's artifact.
+    EXPECT_EQ(P.compile(MFlat)->plan().M.numNodes(), 4);
+    EXPECT_EQ(P.compile(MNodes)->plan().M.numNodes(), 2);
+    EXPECT_NE(MFlat, MNodes);
+    EXPECT_EQ(MNodes,
+              Machine::gridWithNodeSize({4}, ProcessorKind::CPUSocket, 2));
   }
 
   // A format change (different distribution) changes the key.

@@ -26,6 +26,7 @@
 #include "support/FaultInjector.h"
 
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -232,6 +233,12 @@ TEST(Program, BitwiseIdenticalToSequentialAcrossSplits) {
   auto check = [&](const ExecOptions &O, const std::string &What) {
     SCOPED_TRACE(What);
     ChainRegions R(C);
+    // Every output starts as NaN: a member whose region-wide zero the
+    // engine skips as dead (S0 and S2 with views on) must overwrite every
+    // element, or the NaN survives.
+    for (const TensorVar &T : {C.T, C.U, C.Y})
+      R.Regions.at(T)->fill(
+          [](const Point &) { return std::numeric_limits<double>::quiet_NaN(); });
     Prog->execute(R.Regions, O);
     expectSame(ExpT, R.bytesOf(C.T));
     expectSame(ExpU, R.bytesOf(C.U));
@@ -286,6 +293,14 @@ TEST(Program, ValidationErrors) {
   Plan P1 = ewise(B, A, 2.0, 0.0, M2, {{A, vec("x->x")}, {B, vec("x->x")}}, 2);
   Plan P2 = ewise(D, B, 2.0, 0.0, M4, {{B, vec("x->x")}, {D, vec("x->x")}}, 4);
   EXPECT_DISTAL_ERROR(Executor::runProgram({&P1, &P2}, {}), "machine");
+  // Machines that differ only in their flat node grouping differ too (their
+  // printed forms agree).
+  Machine MNodes = Machine::gridWithNodeSize({4}, ProcessorKind::CPUSocket, 2);
+  Plan P3 = ewise(D, B, 2.0, 0.0, MNodes, {{B, vec("x->x")}, {D, vec("x->x")}},
+                  4);
+  Plan P4 = ewise(B, A, 2.0, 0.0, M4, {{A, vec("x->x")}, {B, vec("x->x")}}, 4);
+  ASSERT_EQ(P3.M.str(), P4.M.str());
+  EXPECT_DISTAL_ERROR(Executor::runProgram({&P4, &P3}, {}), "machine");
 
   // A missing region fails the execution up front (contained, reusable).
   ChainProblem C;
@@ -295,6 +310,17 @@ TEST(Program, ValidationErrors) {
   Missing.erase(C.U);
   Status S = Prog->tryExecute(Missing, progOpts(2));
   EXPECT_EQ(S.code(), ErrorCode::InvalidArgument);
+  EXPECT_TRUE(Prog->tryExecute(R.Regions, progOpts(2)).ok());
+
+  // So does a region of another shape than its tensor: the compiled view
+  // offsets and strides assume the tensor's shape.
+  TensorVar Short{"U", {16}};
+  Region Misshapen(Short, vec("x->*"), C.M);
+  std::map<TensorVar, Region *> Wrong = R.Regions;
+  Wrong[C.U] = &Misshapen;
+  S = Prog->tryExecute(Wrong, progOpts(2));
+  EXPECT_EQ(S.code(), ErrorCode::InvalidArgument);
+  EXPECT_NE(S.message().find("shape"), std::string::npos) << S.str();
   EXPECT_TRUE(Prog->tryExecute(R.Regions, progOpts(2)).ok());
 }
 

@@ -23,8 +23,6 @@ void distal::seed::gatherIntoPointwise(const Region &Reg, Instance &I) {
   const Rect &R = I.rect();
   DISTAL_ASSERT(Rect::forExtents(Reg.shape()).contains(R) || R.isEmpty(),
                 "gather rectangle outside region bounds");
-  DISTAL_ASSERT(!I.isView(), "gather into a view would clobber region "
-                             "storage");
   // Element-by-element copy, with both offsets maintained incrementally by
   // an odometer: the strides are fixed per dimension, so re-deriving them
   // per coordinate through Point-based at() calls only burned time.
