@@ -66,10 +66,15 @@
 //                        one program, so the DAG overlaps statements the
 //                        sequential path serializes.
 //   * gemm_kernel      — single-thread n=512 GEMM kernel speed: the seed's
-//                        cache-blocked loop (gemmBlockedReference) vs the
-//                        packed register-tiled blas::gemm with no leaf
+//                        cache-blocked loop (seed::gemmBlockedReference) vs
+//                        the packed register-tiled blas::gemm with no leaf
 //                        parallelism. Reports both GFLOP/s; gated, since
 //                        both columns run on one thread.
+//   * gemm_narrow      — single-thread GEMM at TTM's 576x16x48 leaf shape,
+//                        narrower than one packed panel: the seed's loop vs
+//                        blas::gemm's direct kernel. Both add every product
+//                        straight into C in ascending k, so --check
+//                        requires equal bytes. Gated.
 //   * steady_exec_cannon — compile-once / execute-many: first call
 //                        (CompiledPlan construction + execute) vs the
 //                        steady-state execute of a persistent artifact
@@ -97,7 +102,8 @@
 //                        [--baseline=FILE] [--gate=FRACTION]
 //   --check runs small shapes, verifies every fast path against its
 //   reference (within 1e-9, or exactly where nothing reassociates), and
-//   exits non-zero on mismatch (CI smoke mode).
+//   exits non-zero on mismatch (CI smoke mode). It writes JSON only when
+//   --out is given; a full run writes BENCH_exec.json by default.
 //   --baseline compares the machine-independent speedup ratios of the
 //   single-thread rows (leaf/gather/gemm/gemm_kernel) against a previously
 //   committed BENCH_exec.json and exits non-zero when any drops by more
@@ -1004,53 +1010,89 @@ void benchProgramCpAls() {
                   /*AbsoluteFloor=*/1.1);
 }
 
+/// One GEMM problem timed on one thread in both columns: the seed's
+/// cache-blocked loop and blas::gemm with no leaf parallelism. The samples
+/// alternate so a drift in host speed hits both columns; each is the best
+/// of Batch calls. SeedC and FastC keep each column's output.
+struct GemmPair {
+  int64_t M, N, K;
+  std::vector<double> A, B, SeedC, FastC;
+  double SeedMs = 1e300, FastMs = 1e300;
+
+  /// Both columns' speed, for the detail column.
+  std::string gflops() const {
+    double Flops = 2.0 * M * N * K;
+    char Buf[96];
+    std::snprintf(Buf, sizeof(Buf), "seed %.2f GFLOP/s, fast %.2f GFLOP/s",
+                  Flops / (SeedMs / 1000) / 1e9,
+                  Flops / (FastMs / 1000) / 1e9);
+    return Buf;
+  }
+};
+
+GemmPair timeGemmPair(int64_t M, int64_t N, int64_t K, int Rounds,
+                      int Batch) {
+  GemmPair P{M, N, K, std::vector<double>(M * K), std::vector<double>(K * N),
+             std::vector<double>(M * N), std::vector<double>(M * N)};
+  for (int64_t I = 0; I < M * K; ++I)
+    P.A[I] = static_cast<double>((I * 7) % 13) / 13.0;
+  for (int64_t I = 0; I < K * N; ++I)
+    P.B[I] = static_cast<double>((I * 11) % 17) / 17.0;
+  auto Zero = [](std::vector<double> &C) {
+    std::memset(C.data(), 0, C.size() * sizeof(double));
+  };
+  for (int R = 0; R < Rounds; ++R) {
+    P.SeedMs = std::min(P.SeedMs, bestMs(Batch, [&] {
+                          Zero(P.SeedC);
+                          seed::gemmBlockedReference(P.SeedC.data(),
+                                                     P.A.data(), P.B.data(),
+                                                     M, N, K, N, K, N);
+                        }));
+    P.FastMs = std::min(P.FastMs, bestMs(Batch, [&] {
+                          Zero(P.FastC);
+                          blas::gemm(LeafParallelism{}, P.FastC.data(),
+                                     P.A.data(), P.B.data(), M, N, K, N, K,
+                                     N);
+                        }));
+  }
+  return P;
+}
+
 void benchGemmKernel() {
   // The register-tiled packed kernel against the seed's cache-blocked loop,
   // both on one thread: the ratio is kernel speed alone, with no fan-out.
   int64_t N = CheckMode ? 64 : 512;
-  std::vector<double> A(N * N), B(N * N), SeedC(N * N), FastC(N * N);
-  for (int64_t I = 0; I < N * N; ++I) {
-    A[I] = static_cast<double>((I * 7) % 13) / 13.0;
-    B[I] = static_cast<double>((I * 11) % 17) / 17.0;
-  }
-  auto Zero = [](std::vector<double> &C) {
-    std::memset(C.data(), 0, C.size() * sizeof(double));
-  };
-  // Alternate the samples so a drift in host speed hits both columns.
-  double SeedMs = 1e300, FastMs = 1e300;
-  for (int R = 0; R < (CheckMode ? 1 : 7); ++R) {
-    SeedMs = std::min(SeedMs, bestMs(1, [&] {
-                        Zero(SeedC);
-                        blas::gemmBlockedReference(SeedC.data(), A.data(),
-                                                   B.data(), N, N, N, N, N,
-                                                   N);
-                      }));
-    FastMs = std::min(FastMs, bestMs(1, [&] {
-                        Zero(FastC);
-                        blas::gemm(LeafParallelism{}, FastC.data(), A.data(),
-                                   B.data(), N, N, N, N, N, N);
-                      }));
-  }
+  GemmPair P = timeGemmPair(N, N, N, CheckMode ? 1 : 7, 1);
   if (CheckMode) {
     // Spot-check one row of each column against a naive product.
     for (int64_t J = 0; J < N; ++J) {
       double Ref = 0;
       for (int64_t K = 0; K < N; ++K)
-        Ref += A[K] * B[K * N + J];
-      if (std::abs(SeedC[J] - Ref) > 1e-9 * N ||
-          std::abs(FastC[J] - Ref) > 1e-9 * N) {
+        Ref += P.A[K] * P.B[K * N + J];
+      if (std::abs(P.SeedC[J] - Ref) > 1e-9 * N ||
+          std::abs(P.FastC[J] - Ref) > 1e-9 * N) {
         fail("gemm_kernel row 0 mismatch vs naive reference");
         break;
       }
     }
   }
-  double Flops = 2.0 * N * N * N;
-  char Detail[128];
-  std::snprintf(Detail, sizeof(Detail),
-                "n=%lld, 1 thread, seed %.2f GFLOP/s, fast %.2f GFLOP/s",
-                static_cast<long long>(N), Flops / (SeedMs / 1000) / 1e9,
-                Flops / (FastMs / 1000) / 1e9);
-  record("gemm_kernel", SeedMs, FastMs, Detail, /*Gated=*/true);
+  record("gemm_kernel", P.SeedMs, P.FastMs,
+         "n=" + std::to_string(N) + ", 1 thread, " + P.gflops(),
+         /*Gated=*/true);
+}
+
+void benchGemmNarrow() {
+  // TTM's leaf GEMM at dim 48, rank 16: 16 columns, under one 32-column
+  // panel, so blas::gemm runs its direct kernel. Both columns add every
+  // product straight into C in ascending k, so their bytes must be equal.
+  // One call takes tens of microseconds, hence the batches.
+  GemmPair P = timeGemmPair(576, 16, 48, CheckMode ? 1 : 20,
+                            CheckMode ? 1 : 50);
+  if (std::memcmp(P.SeedC.data(), P.FastC.data(),
+                  P.SeedC.size() * sizeof(double)))
+    fail("gemm_narrow direct kernel bytes differ from the seed loop's");
+  record("gemm_narrow", P.SeedMs, P.FastMs,
+         "576x16x48, 1 thread, " + P.gflops(), /*Gated=*/true);
 }
 
 void writeJson(const std::string &Path) {
@@ -1150,7 +1192,7 @@ void gateAgainstBaseline(const std::string &Path, double Gate) {
 } // namespace
 
 int main(int argc, char **argv) {
-  std::string OutPath = "BENCH_exec.json";
+  std::string OutPath;
   std::string BaselinePath;
   double Gate = 0.25;
   for (int I = 1; I < argc; ++I) {
@@ -1188,8 +1230,14 @@ int main(int argc, char **argv) {
   benchProgramPowerIter();
   benchProgramCpAls();
   benchGemmKernel();
+  benchGemmNarrow();
   if (!BaselinePath.empty())
     gateAgainstBaseline(BaselinePath, Gate);
-  writeJson(OutPath);
+  // A check run writes only where --out says: its small-shape numbers must
+  // never overwrite a committed baseline.
+  if (OutPath.empty() && !CheckMode)
+    OutPath = "BENCH_exec.json";
+  if (!OutPath.empty())
+    writeJson(OutPath);
   return Failed ? 1 : 0;
 }

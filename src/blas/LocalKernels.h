@@ -35,27 +35,21 @@ namespace blas {
 constexpr int64_t GemmBlockK = 256;
 
 /// C[m,n] += A[m,k] * B[k,n] with row strides LdC/LdA/LdB (row-major,
-/// unit column stride). Packs A/B panels and runs a register-tiled
-/// micro-kernel whose vector width follows the ISA the build targets (an
-/// 8 x 16 tile of zmm accumulators with AVX-512, 4 x 8 ymm with AVX, 4 x 4
-/// xmm otherwise), with the same bytes as 4 x 32 panels in every build; row
-/// panels of 4 rows fan out over \p LP when the problem is large enough.
-/// Below 2^16 multiply-adds or 4 rows it runs gemmBlockedReference instead.
+/// unit column stride). C must not overlap A or B. Packs A/B panels and
+/// runs a register-tiled micro-kernel whose vector width follows the ISA
+/// the build targets (an 8 x 16 tile of zmm accumulators with AVX-512,
+/// 4 x 8 ymm with AVX, 4 x 4 xmm otherwise), with the same bytes as 4 x 32
+/// panels in every build; row panels of 4 rows fan out over \p LP when the
+/// problem is large enough. The fringe columns and rows of that panel grid,
+/// and whole problems under 2^16 multiply-adds, with fewer than 4 rows or
+/// fewer than 32 columns, run a direct kernel instead: it holds a tile of C
+/// in registers for the whole k loop and adds every product straight into
+/// it in ascending k.
 void gemm(const LeafParallelism &LP, double *C, const double *A,
           const double *B, int64_t M, int64_t N, int64_t K, int64_t LdC,
           int64_t LdA, int64_t LdB);
 void gemm(double *C, const double *A, const double *B, int64_t M, int64_t N,
           int64_t K, int64_t LdC, int64_t LdA, int64_t LdB);
-
-/// The seed's original cache-blocked (but not register-blocked, not
-/// parallel) GEMM: every product adds straight into C, in ascending k. It
-/// is gemm's path below the pack cutoff (2^16 multiply-adds) and below 4
-/// rows. The seed reference engine in tests/support runs it as its GEMM
-/// leaf at every size, so benchmarks measure the engine against a faithful
-/// seed configuration; above the cutoff its bytes differ from gemm's.
-void gemmBlockedReference(double *C, const double *A, const double *B,
-                          int64_t M, int64_t N, int64_t K, int64_t LdC,
-                          int64_t LdA, int64_t LdB);
 
 /// Fully strided GEMM: C[m*CsM + n*CsN] += A[m*AsM + k*AsK] *
 /// B[k*BsK + n*BsN]. Dispatches to the blocked kernel when every innermost

@@ -1,18 +1,24 @@
-//===- tests/BlasKernelTest.cpp - Packed GEMM keeps its bytes -*- C++ -*-===//
+//===- tests/BlasKernelTest.cpp - GEMM kernels keep their bytes -*- C++ -*-===//
 //
-// blas::gemm's packed path must produce the same bytes as the 4 x 32 panel
-// kernel it replaced, whatever register tile the build's vector width
-// selects. The replaced kernel is kept below as the reference order: every
-// full-panel element starts an accumulator at 0, adds a*b in ascending k
-// and is added to C once per 256-deep k block; fringe columns and fringe
-// rows accumulate into C directly. The shapes cover row and column
-// fringes, several k blocks, several 1024-column blocks, leading
-// dimensions wider than the extents, the unpacked routes below the pack
-// cutoff, the 2- and 4-way row fan-out, and gemmGeneral's column-major
-// route. Outputs are compared with memcmp.
+// blas::gemm must produce the same bytes as the 4 x 32 panel kernel it
+// replaced, whatever register tiles the build's vector width selects. The
+// replaced kernel is kept below as the reference order: every full-panel
+// element starts an accumulator at 0, adds a*b in ascending k and is added
+// to C once per 256-deep k block; fringe columns and fringe rows, and whole
+// problems under the pack cutoff or with fewer than 4 rows, add every
+// product straight into C in ascending k. blas::gemm runs the latter, and
+// every problem narrower than one 32-column panel, through its direct
+// kernel, which holds C in registers across the whole k range instead of
+// splitting it into 256-deep blocks. The shapes cover row and column
+// fringes, widths under one panel, several k and column blocks, leading
+// dimensions wider than the extents (the TTM and MTTKRP leaf shapes
+// among them), the unpacked routes below the pack cutoff, the 2- and 4-way
+// row fan-out on the packed and direct routes, and gemmGeneral's
+// column-major route. Outputs are compared with memcmp.
 //
 //===----------------------------------------------------------------------===//
 
+#include "Seed.h"
 #include "blas/LocalKernels.h"
 #include "support/ThreadPool.h"
 
@@ -113,7 +119,7 @@ void packedGemm(double *C, const double *A, const double *B, int64_t M,
 void gemm(double *C, const double *A, const double *B, int64_t M, int64_t N,
           int64_t K, int64_t LdC, int64_t LdA, int64_t LdB) {
   if (M * N * K < PackFlopCutoff || M < MR)
-    blas::gemmBlockedReference(C, A, B, M, N, K, LdC, LdA, LdB);
+    seed::gemmBlockedReference(C, A, B, M, N, K, LdC, LdA, LdB);
   else
     packedGemm(C, A, B, M, N, K, LdC, LdA, LdB);
 }
@@ -165,12 +171,13 @@ void expectSameBytes(const LeafParallelism &LP, const Shape &S,
 
 /// Every combination of the row counts (MR multiples, row fringes, several
 /// register tiles), column counts (whole panels, column fringes, a second
-/// 1024-column block) and depths (one partial, one full and several k
-/// blocks) the packed path distinguishes.
+/// 1024-column block, and widths under one panel, which take the direct
+/// kernel over the whole k range) and depths (one partial, one full and
+/// several k blocks) the packed path distinguishes.
 std::vector<Shape> packedShapes() {
   std::vector<Shape> Shapes;
   for (int64_t M : {4, 5, 7, 8, 9, 12, 64, 67, 512})
-    for (int64_t N : {32, 33, 48, 64, 70, 1030})
+    for (int64_t N : {1, 8, 16, 24, 31, 32, 33, 48, 64, 70, 1030})
       for (int64_t K : {17, 256, 257, 600})
         Shapes.push_back({M, N, K});
   return Shapes;
@@ -184,8 +191,11 @@ TEST(BlasKernel, PackedGemmMatchesReferenceBytes) {
 
 TEST(BlasKernel, LeadingDimensionsWiderThanExtents) {
   uint64_t Seed = 1000;
+  // The last three are the TTM leaf (576 x 16 x 48) and MTTKRP Khatri-Rao
+  // blocks (24 x 16 x 256 and x 128) at rank 16.
   for (Shape S : {Shape{9, 70, 257}, Shape{67, 33, 600}, Shape{12, 1030, 17},
-                  Shape{512, 64, 256}, Shape{8, 48, 300}}) {
+                  Shape{512, 64, 256}, Shape{8, 48, 300}, Shape{576, 16, 48},
+                  Shape{24, 16, 256}, Shape{24, 16, 128}}) {
     for (int64_t Pad : {1, 5, 32}) {
       S.Pad = Pad;
       expectSameBytes(LeafParallelism{}, S, Seed += 3);
@@ -208,24 +218,30 @@ TEST(BlasKernel, UnpackedRoutesMatchReferenceBytes) {
 TEST(BlasKernel, RowFanOutMatchesReferenceBytes) {
   // Shapes past the parallel cutoff (2^20 multiply-adds), so the row
   // panels split over the pool, including splits that leave a range with
-  // an odd number of 4-row panels or the row fringe.
+  // an odd number of 4-row panels or the row fringe. The last two are
+  // narrower than one panel, so their row panels fan out on the direct
+  // route.
   ThreadPool Pool(4);
   uint64_t Seed = 3000;
   for (int Ways : {2, 4})
     for (Shape S : {Shape{67, 70, 257}, Shape{64, 1030, 17},
                     Shape{512, 64, 256}, Shape{36, 1030, 600},
-                    Shape{12, 1030, 600}, Shape{9, 33, 4000}})
+                    Shape{12, 1030, 600}, Shape{9, 33, 4000},
+                    Shape{4096, 16, 48}, Shape{2048, 24, 600}})
       expectSameBytes(LeafParallelism{&Pool, Ways}, S, Seed += 3);
 }
 
 TEST(BlasKernel, ColumnMajorGemmGeneralMatchesReferenceBytes) {
-  // CsM == AsM == BsK == 1: gemmGeneral computes C^T += B^T * A^T on the
-  // packed path, so the reference runs the same transposed product.
+  // CsM == AsM == BsK == 1: gemmGeneral computes C^T += B^T * A^T through
+  // blas::gemm, so the reference runs the same transposed product. The
+  // 16-row shape transposes to 16 columns, under one panel: the direct
+  // route.
   ThreadPool Pool(4);
   uint64_t Seed = 4000;
   for (int Ways : {1, 4})
     for (Shape S : {Shape{70, 67, 257}, Shape{33, 12, 600},
-                    Shape{1030, 9, 17}, Shape{64, 512, 256, 5}}) {
+                    Shape{1030, 9, 17}, Shape{64, 512, 256, 5},
+                    Shape{16, 70, 257}}) {
       // Column-major operands: C is M x N with column stride LdC, A is
       // M x K with column stride LdA, B is K x N with column stride LdB.
       int64_t LdC = S.M + S.Pad, LdA = S.M + S.Pad, LdB = S.K + S.Pad;

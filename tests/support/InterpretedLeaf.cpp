@@ -3,7 +3,8 @@
 // The seed leaf implementation, kept for benchmarks and differential tests
 // (seed::Engine's leaves): rebuilds the affine structure every step and
 // walks the expression tree through recursive std::functions at every
-// point. See src/runtime/LeafCompiler.cpp for the compiled engine that
+// point, except canonical GEMM leaves, which run the seed's cache-blocked
+// GEMM. See src/runtime/LeafCompiler.cpp for the compiled engine that
 // replaced it.
 //
 //===----------------------------------------------------------------------===//
@@ -13,7 +14,6 @@
 #include <algorithm>
 #include <functional>
 
-#include "blas/LocalKernels.h"
 #include "support/Error.h"
 #include "support/Util.h"
 
@@ -36,6 +36,28 @@ struct AffineLeaf {
 };
 
 } // namespace
+
+void distal::seed::gemmBlockedReference(double *C, const double *A,
+                                        const double *B, int64_t M, int64_t N,
+                                        int64_t K, int64_t LdC, int64_t LdA,
+                                        int64_t LdB) {
+  constexpr int64_t Bm = 64, Bn = 64, Bk = 64;
+  for (int64_t I0 = 0; I0 < M; I0 += Bm)
+    for (int64_t K0 = 0; K0 < K; K0 += Bk)
+      for (int64_t J0 = 0; J0 < N; J0 += Bn) {
+        int64_t IMax = std::min(I0 + Bm, M);
+        int64_t KMax = std::min(K0 + Bk, K);
+        int64_t JMax = std::min(J0 + Bn, N);
+        for (int64_t I = I0; I < IMax; ++I)
+          for (int64_t KK = K0; KK < KMax; ++KK) {
+            double AVal = A[I * LdA + KK];
+            const double *BRow = B + KK * LdB;
+            double *CRow = C + I * LdC;
+            for (int64_t J = J0; J < JMax; ++J)
+              CRow[J] += AVal * BRow[J];
+          }
+      }
+}
 
 void distal::seed::runInterpretedLeaf(
     const Plan &P, const std::map<IndexVar, Coord> &FixedVals,
@@ -128,7 +150,7 @@ void distal::seed::runInterpretedLeaf(
     bool Canonical = OutC[2] == 0 && OutC[1] == 1 && AC[1] == 0 &&
                      AC[2] == 1 && BC[0] == 0 && BC[2] >= 1 && BC[1] == 1;
     if (Canonical) {
-      blas::gemmBlockedReference(
+      gemmBlockedReference(
           L.AccData[0] + L.AccBase[0], L.AccData[1] + L.AccBase[1],
           L.AccData[2] + L.AccBase[2], L.LeafExtents[0], L.LeafExtents[1],
           L.LeafExtents[2], OutC[0], AC[0], BC[2]);

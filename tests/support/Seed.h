@@ -2,16 +2,18 @@
 //
 // The seed's per-point implementations, kept outside the library as the
 // reference for differential tests and the microbench seed columns: the
-// region copies that walk every point individually, the leaf interpreter
-// that walks the expression tree at every point, and an engine that runs a
-// compiled plan one task at a time over both. The library's own engine
-// never calls any of it. Link the distal_seed target to use it.
+// region copies that walk every point individually, the cache-blocked GEMM,
+// the leaf interpreter that walks the expression tree at every point, and
+// an engine that runs a compiled plan one task at a time over them. The
+// library's own engine never calls any of it. Link the distal_seed target
+// to use it.
 //
 //===----------------------------------------------------------------------===//
 
 #ifndef DISTAL_TESTS_SUPPORT_SEED_H
 #define DISTAL_TESTS_SUPPORT_SEED_H
 
+#include <cstdint>
 #include <map>
 #include <vector>
 
@@ -33,10 +35,18 @@ void reduceBackPointwise(Region &R, const Instance &I);
 /// Overwrites the elements of \p R that \p I covers.
 void writeBackPointwise(Region &R, const Instance &I);
 
+/// The seed's cache-blocked (but not register-blocked, not parallel) GEMM:
+/// C[m,n] += A[m,k] * B[k,n] with row strides LdC/LdA/LdB, every product
+/// added straight into C in ascending k. blas::gemm's direct kernel has the
+/// same bytes; its packed path, above the pack cutoff with a full 32-column
+/// panel, differs.
+void gemmBlockedReference(double *C, const double *A, const double *B,
+                          int64_t M, int64_t N, int64_t K, int64_t LdC,
+                          int64_t LdA, int64_t LdB);
+
 /// The seed leaf interpreter: rebuilds the affine structure every call and
 /// walks the expression tree through recursive std::functions at every
-/// point. GEMM leaves in canonical layout run blas::gemmBlockedReference,
-/// which adds every product straight into C.
+/// point. GEMM leaves in canonical layout run gemmBlockedReference.
 void runInterpretedLeaf(const Plan &P,
                         const std::map<IndexVar, Coord> &FixedVals,
                         std::map<TensorVar, Instance *> &Insts);
