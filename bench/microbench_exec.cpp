@@ -420,7 +420,7 @@ void gateAbsolute(const std::string &Name, double Speedup, double Floor) {
 }
 
 void benchNestedLeafGemm() {
-  // A single-task plan: the launch domain has one point, so the adaptive
+  // A single-task plan: the launch domain has one point, so the default
   // split hands every thread to the leaf GEMM (and its gathers) as nested
   // sub-range jobs on the ExecContext pool. Seed column = 1 thread, fast
   // column = --threads. Diagnosis of the old ~1.0x row: (a) the committed

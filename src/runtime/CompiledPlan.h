@@ -68,8 +68,8 @@ struct ExecOptions {
   /// (DISTAL_NUM_THREADS or hardware concurrency); 1 forces the fully
   /// sequential walk.
   int NumThreads = 0;
-  /// Pins the task/leaf thread division instead of the adaptive policy
-  /// (0 = adaptive).
+  /// Pins the task/leaf thread division instead of the default split
+  /// (0 = ExecContext::splitFor).
   int ForceTaskWays = 0, ForceLeafWays = 0;
   TraceMode Mode = TraceMode::Full;
   /// Zero-copy alias views. On, gathers the compile phase proved
@@ -173,8 +173,9 @@ struct CompiledTask {
 /// freshly compiled artifact. Input regions are never mutated by a failed
 /// execution; the output region may hold partial data, but every execution
 /// rewrites all of it: it is zeroed first, or, when the compile phase
-/// proved every element overwritten in place (ExecEngine's dead zero),
-/// every element is assigned.
+/// proved every task writes its rectangle in place and the rectangles
+/// cover it (ExecEngine's dead zero), each task clears or overwrites its
+/// own rectangle.
 class CompiledPlan {
 public:
   /// Compiles \p P for repeated execution: runs the full data-independent

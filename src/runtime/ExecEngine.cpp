@@ -198,9 +198,11 @@ ExecEngine::ExecEngine(std::vector<const CompiledPlan *> Ms,
   NumNodes = Base;
   buildGraphs();
 
-  // A member's zero is dead when every task writes its output rectangle
-  // exactly once (SkipOutputZero), in place, and the rectangles cover the
-  // tensor: then every element is assigned before anything reads it.
+  // A member's region-wide zero is dead when every task writes its output
+  // rectangle in place and the rectangles cover the tensor: each task then
+  // zeroes its own rectangle at launch, or overwrites it (SkipOutputZero),
+  // and PlanAnalysis proved the in-place rectangles exclusive, so every
+  // element is cleared or assigned exactly once before anything reads it.
   DeadZero.assign(Members.size(), 0);
   for (size_t I = 0; I < Members.size(); ++I) {
     const CompiledPlan &CP = *Members[I];
@@ -208,10 +210,9 @@ ExecEngine::ExecEngine(std::vector<const CompiledPlan *> Ms,
     std::vector<Rect> Cover;
     for (size_t T = 0; T < CP.Tasks.size() && Dead; ++T) {
       const CompiledTask &CT = CP.Tasks[T];
-      bool InPlace = Link && Link->Stmts[I].Tasks[T].OutView;
+      Dead = Link && Link->Stmts[I].Tasks[T].OutView;
       for (const CompiledGather &G : CT.LaunchGathers)
-        InPlace |= G.IsOutput && G.Class == GatherClass::Aliasable;
-      Dead = CT.SkipOutputZero && InPlace;
+        Dead |= G.IsOutput && G.Class == GatherClass::Aliasable;
       Cover.push_back(CT.OutRect);
     }
     DeadZero[I] =
@@ -507,11 +508,12 @@ void ExecEngine::runNode(ExecArena &A, int32_t Node, const Walk &W) const {
       NodeBase.begin() - 1);
   int32_t Local = Node - NodeBase[I];
   int32_t Tasks = static_cast<int32_t>(Members[I]->Tasks.size());
-  if (Local == 0) { // Zero node: region-wide zero of the member's output.
+  if (Local == 0) {
+    // Zero node: region-wide zero of the member's output, unless the tasks
+    // clear their own rectangles (DeadZero).
     if (!(W.ViewsOn && DeadZero[I]))
       A.Regs[I][static_cast<size_t>(Members[I]->OutSlot)]->zero();
-  }
-  else if (Local == Tasks + 1)
+  } else if (Local == Tasks + 1)
     writeback(A, I, W);
   else
     runTask(A, I, static_cast<size_t>(Local - 1), W);
@@ -556,20 +558,24 @@ void ExecEngine::runTask(ExecArena &A, size_t Member, size_t TaskIdx,
 
   // Launch phase: task-level instances (private accumulator for the
   // output, fetched copies for the inputs). The accumulator's zero is
-  // skipped when the compile phase proved the leaf overwrites it entirely;
-  // an aliased accumulator (exclusive home-resident rectangle, or a linked
-  // in-place writer) binds the region storage itself, which the zero node
-  // already cleared (or which the leaf overwrites, when the zero is dead),
-  // and elides its writeback at the end node.
+  // skipped when the compile phase proved the leaf overwrites it entirely.
+  // An aliased accumulator (exclusive home-resident rectangle, or a linked
+  // in-place writer) binds the region storage itself and elides its
+  // writeback at the end node; the zero node cleared that storage, unless
+  // its zero is dead, in which case the task clears its own rectangle here.
   for (size_t Gi = 0; Gi < CT.LaunchGathers.size(); ++Gi) {
     const CompiledGather &G = CT.LaunchGathers[Gi];
-    if (!G.IsOutput)
+    if (!G.IsOutput) {
       bindInput(G, Links && Links->LaunchView[Gi]);
-    else if (W.ViewsOn &&
-             (G.Class == GatherClass::Aliasable || (Links && Links->OutView)))
+    } else if (W.ViewsOn && (G.Class == GatherClass::Aliasable ||
+                             (Links && Links->OutView))) {
       bindView(G);
-    else if (Instance &Inst = bindOwned(G); !CT.SkipOutputZero)
+      if (DeadZero[Member] && !CT.SkipOutputZero)
+        Regs[static_cast<size_t>(G.Slot)]->zeroCompiled(G.R, G.Runs,
+                                                        W.LeafLP);
+    } else if (Instance &Inst = bindOwned(G); !CT.SkipOutputZero) {
       Inst.zero();
+    }
   }
 
   // Steps: fetches and leaf kernels replayed from the compiled program

@@ -191,11 +191,14 @@ private:
   /// Node numbering: member I with T tasks owns [NodeBase[I],
   /// NodeBase[I] + T + 2): zero node, T task nodes, end node.
   std::vector<int32_t> NodeBase;
-  /// [member] 1: no element ever reads member I's region-wide zero when
-  /// views are on — every task overwrites its output rectangle in place
-  /// (SkipOutputZero with an Aliasable or link OutView output) and the
-  /// rectangles cover the tensor — so its zero node skips the memset. The
-  /// node and its edges stay: they order WAR/WAW against earlier members.
+  /// [member] 1: member I's region-wide zero is dead when views are on —
+  /// every task writes its output rectangle in place (an Aliasable or link
+  /// OutView output, exclusive by PlanAnalysis's proofs) and the rectangles
+  /// cover the tensor — so its zero node skips the memset. A task that
+  /// accumulates then zeroes its own rectangle at launch
+  /// (Region::zeroCompiled), in parallel with its siblings; one that
+  /// overwrites (SkipOutputZero) assigns every element once. The node and
+  /// its edges stay: they order WAR/WAW against earlier members.
   std::vector<uint8_t> DeadZero;
   int32_t NumNodes = 0;
   int64_t NumTasks = 0, TaskSteps = 0;

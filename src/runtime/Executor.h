@@ -58,18 +58,17 @@ public:
   ///
   /// The engine never uses more than N threads, for any N: its ExecContext
   /// owns one pool, threaded explicitly through the plan walk, the Region
-  /// copies, and the blas:: leaf kernels, and the context's split policy
-  /// divides the N threads between task-level and leaf-level fan-out. A
-  /// single-task plan hands all N threads to its leaf kernels (which run
-  /// as sub-range jobs on the same pool); a plan with at least N tasks
-  /// keeps leaves sequential; intermediate launch domains split
-  /// proportionally. Nested fan-outs never oversubscribe.
+  /// copies, and the blas:: leaf kernels. Tasks fan out min(tasks, N)
+  /// wide and every leaf past its kernel's cutoff fans out over all N
+  /// threads as a nested sub-range job on the same pool, so threads whose
+  /// task has ended run the slowest task's remaining ranges. The pool's
+  /// live-thread bound keeps nested fan-outs from oversubscribing.
   void setNumThreads(int N) {
     NumThreads = N;
     ForceTaskWays = ForceLeafWays = 0;
   }
 
-  /// Pins the task/leaf division instead of the adaptive policy: the
+  /// Pins the task/leaf division instead of the default split: the
   /// engine fans tasks out at most \p TaskWays wide and hands each leaf a
   /// \p LeafWays budget, over one pool of TaskWays * LeafWays threads.
   /// Results are bitwise-identical for every split; tests sweep this.

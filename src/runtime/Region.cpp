@@ -107,6 +107,40 @@ void forEachRun(const Rect &R, const std::vector<Coord> &Shape,
 /// Copies below this many elements are not worth a fan-out.
 constexpr int64_t CopyParallelCutoff = 1 << 17;
 
+/// Invokes Body(RegionOff, InstOff, Len) over the runs of the compiled
+/// program \p GR (region offsets from the region's storage, instance
+/// offsets row-major over the rectangle), fanned out over \p LP past the
+/// copy cutoff: a single run splits into sub-ranges, several runs split
+/// across runs. Every split touches the same disjoint ranges.
+template <typename Fn>
+void forEachCompiledRun(const GatherRuns &GR, const LeafParallelism &LP,
+                        const Fn &Body) {
+  int64_t NumRuns = GR.numRuns();
+  if (NumRuns == 0 || GR.RunLen == 0)
+    return;
+  if (!LP.enabled() || NumRuns * GR.RunLen < CopyParallelCutoff) {
+    int64_t InstOff = 0;
+    for (int64_t I0 = 0; I0 < GR.Count0; ++I0)
+      for (int64_t I1 = 0; I1 < GR.Count1; ++I1, InstOff += GR.RunLen)
+        Body(GR.RegBase + I0 * GR.Stride0 + I1 * GR.Stride1, InstOff,
+             GR.RunLen);
+    return;
+  }
+  if (NumRuns == 1) {
+    LP.Pool->parallelForWays(GR.RunLen, LP.Ways, [&](int64_t Lo, int64_t Hi) {
+      Body(GR.RegBase + Lo, Lo, Hi - Lo);
+    });
+    return;
+  }
+  LP.Pool->parallelForWays(NumRuns, LP.Ways, [&](int64_t Lo, int64_t Hi) {
+    for (int64_t Run = Lo; Run < Hi; ++Run) {
+      int64_t I0 = Run / GR.Count1, I1 = Run % GR.Count1;
+      Body(GR.RegBase + I0 * GR.Stride0 + I1 * GR.Stride1, Run * GR.RunLen,
+           GR.RunLen);
+    }
+  });
+}
+
 } // namespace
 
 Instance::Instance(Rect R) { reset(std::move(R)); }
@@ -280,38 +314,25 @@ void Region::gatherCompiled(Instance &I, const GatherRuns &GR,
     gatherInto(I, LP);
     return;
   }
-  int64_t NumRuns = GR.numRuns();
-  if (NumRuns == 0 || GR.RunLen == 0)
-    return;
   double *Dst = I.data();
-  const double *Src = Data.data() + GR.RegBase;
-  size_t RunBytes = static_cast<size_t>(GR.RunLen) * sizeof(double);
-  if (!LP.enabled() || NumRuns * GR.RunLen < CopyParallelCutoff) {
-    double *D = Dst;
-    for (int64_t I0 = 0; I0 < GR.Count0; ++I0) {
-      const double *S0 = Src + I0 * GR.Stride0;
-      for (int64_t I1 = 0; I1 < GR.Count1; ++I1, D += GR.RunLen)
-        std::memcpy(D, S0 + I1 * GR.Stride1, RunBytes);
-    }
-    return;
-  }
-  if (NumRuns == 1) {
-    // Fully contiguous rectangle: split the single memcpy into sub-ranges.
-    LP.Pool->parallelForWays(GR.RunLen, LP.Ways, [&](int64_t Lo, int64_t Hi) {
-      std::memcpy(Dst + Lo, Src + Lo,
-                  static_cast<size_t>(Hi - Lo) * sizeof(double));
-    });
-    return;
-  }
-  // Runs target disjoint instance ranges: any run split copies the same
-  // bytes, just on different threads.
-  LP.Pool->parallelForWays(NumRuns, LP.Ways, [&](int64_t Lo, int64_t Hi) {
-    for (int64_t Run = Lo; Run < Hi; ++Run) {
-      int64_t I0 = Run / GR.Count1, I1 = Run % GR.Count1;
-      std::memcpy(Dst + Run * GR.RunLen,
-                  Src + I0 * GR.Stride0 + I1 * GR.Stride1, RunBytes);
-    }
+  const double *Src = Data.data();
+  forEachCompiledRun(GR, LP, [&](int64_t RegOff, int64_t InstOff,
+                                 int64_t Len) {
+    std::memcpy(Dst + InstOff, Src + RegOff,
+                static_cast<size_t>(Len) * sizeof(double));
   });
+}
+
+void Region::zeroCompiled(const Rect &R, const GatherRuns &GR,
+                          const LeafParallelism &LP) {
+  double *Dst = Data.data();
+  auto ZeroRun = [&](int64_t RegOff, int64_t, int64_t Len) {
+    std::memset(Dst + RegOff, 0, static_cast<size_t>(Len) * sizeof(double));
+  };
+  if (GR.General)
+    forEachRun(R, shape(), Strides, ZeroRun);
+  else
+    forEachCompiledRun(GR, LP, ZeroRun);
 }
 
 void Region::reduceBack(const Instance &I) {

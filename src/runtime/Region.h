@@ -170,6 +170,12 @@ public:
   /// are identical to gatherInto.
   void gatherCompiled(Instance &I, const GatherRuns &GR,
                       const LeafParallelism &LP = {}) const;
+  /// Zeroes the rectangle \p R of the region in place, one memset per run
+  /// of its compiled copy program \p GR (compileGatherRuns of \p R against
+  /// this region's shape), fanned out over \p LP like gatherCompiled; a
+  /// General program walks the rectangle's runs instead.
+  void zeroCompiled(const Rect &R, const GatherRuns &GR,
+                    const LeafParallelism &LP);
   /// Accumulates (+=) an instance's contents back into the region.
   void reduceBack(const Instance &I);
   /// Accumulates only the rows (dim-0 coordinates) of \p I that fall in

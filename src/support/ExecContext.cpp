@@ -59,14 +59,8 @@ ExecContext::ExecContext(int NumThreads)
 ExecContext::~ExecContext() = default;
 
 ExecContext::Split ExecContext::splitFor(int64_t NumTasks) const {
-  Split S;
   if (NumThreads <= 1 || NumTasks <= 0)
-    return S;
-  if (NumTasks >= NumThreads) {
-    S.TaskWays = NumThreads;
-    return S; // Leaves stay sequential: task fan-out saturates the pool.
-  }
-  S.TaskWays = static_cast<int>(NumTasks);
-  S.LeafWays = NumThreads / S.TaskWays;
-  return S;
+    return {};
+  return {static_cast<int>(std::min<int64_t>(NumTasks, NumThreads)),
+          NumThreads};
 }

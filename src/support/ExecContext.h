@@ -2,7 +2,7 @@
 ///
 /// \file
 /// An ExecContext owns the thread pool for one engine invocation and the
-/// policy dividing its threads between task-level and leaf-level fan-out.
+/// split of its threads between task-level and leaf-level fan-out.
 /// It is threaded *explicitly* through every layer that runs parallel work
 /// — Executor plan walk, Region gather/writeback, the compiled leaf tape,
 /// and the blas:: kernels — so nothing below the Executor ever reaches for
@@ -96,17 +96,20 @@ public:
   /// threads); null when the context is sequential (1 thread).
   ThreadPool *pool() const { return Resolved; }
 
-  /// Division of numThreads() between task fan-out and leaf fan-out.
+  /// Task-level fan-out width and the ways budget handed to every leaf.
   struct Split {
     int TaskWays = 1;
     int LeafWays = 1;
   };
 
-  /// Adaptive split for a launch domain of \p NumTasks tasks: a single-task
-  /// plan gives every thread to its leaf; a plan with at least numThreads()
-  /// tasks keeps leaves sequential (task fan-out already saturates the
-  /// pool); in between, leaves get the threads the task level cannot use.
-  /// Executor::setThreadSplit pins the division instead of this policy.
+  /// Split for a launch domain of \p NumTasks tasks: min(NumTasks,
+  /// numThreads()) task ways, and the whole pool for every leaf. A leaf
+  /// past its kernel's fan-out cutoff submits its disjoint ranges as a
+  /// nested job; threads whose task has ended, or that wait on a helper,
+  /// take the remaining ranges (ThreadPool::submitAndRun) instead of
+  /// waiting for the slowest task to end. The live-thread bound, asserted on
+  /// every chunk claim, is what keeps the product of the two ways from
+  /// oversubscribing. Executor::setThreadSplit pins the division instead.
   Split splitFor(int64_t NumTasks) const;
 
 private:

@@ -21,6 +21,10 @@ static thread_local ThreadPool *CurrentPool = nullptr;
 static thread_local int ChunkDepth = 0;
 /// Set by InlineScope: every fan-out runs serially on this thread.
 static thread_local bool InlineOnly = false;
+/// True while this thread's innermost chunk frame belongs to a structured
+/// job: a job it submits to the same pool is Nested. A detached job's chunk
+/// runs a whole execution, so what it submits is top-level again.
+static thread_local bool InStructuredChunk = false;
 
 bool ThreadPool::inWorker() { return CurrentPool != nullptr; }
 
@@ -80,6 +84,8 @@ void ThreadPool::runOneChunk(Job &J, std::unique_lock<std::mutex> &Lock) {
                   "thread pool exceeded its configured worker count");
   }
   ++ChunkDepth;
+  bool PrevStructured = InStructuredChunk;
+  InStructuredChunk = J.Async == nullptr;
   Lock.unlock();
   // A chunk that throws must not unwind into a worker loop (std::terminate)
   // or past a helping waiter: capture the exception instead and rethrow it
@@ -96,6 +102,7 @@ void ThreadPool::runOneChunk(Job &J, std::unique_lock<std::mutex> &Lock) {
   } catch (...) {
     ChunkError = std::current_exception();
   }
+  InStructuredChunk = PrevStructured;
   Lock.lock();
   --ChunkDepth;
   if (Outermost)
@@ -153,6 +160,20 @@ bool ThreadPool::mustInline(int64_t N) const {
          (CurrentPool != nullptr && CurrentPool != this);
 }
 
+ThreadPool::Job *ThreadPool::helpableJob() const {
+  // A waiter inside a chunk is already counted in Live; one outside every
+  // chunk would add a live thread, so it helps only under the bound.
+  if (ChunkDepth == 0 && Live >= NumThreads)
+    return nullptr;
+  // The oldest claimable nested job. Top-level jobs are never helped: the
+  // engine's walk chunks block on its ready queue, and a waiter that took
+  // one while its own leaf job is pending could deadlock a linked program.
+  for (Job *H : Jobs)
+    if (H->Nested && H->Next < H->N)
+      return H;
+  return nullptr;
+}
+
 void ThreadPool::submitAndRun(Job &J) {
   bool TopLevel = CurrentPool != this;
   // Serialize top-level fan-outs: each external caller adds one live thread
@@ -162,6 +183,7 @@ void ThreadPool::submitAndRun(Job &J) {
   std::unique_lock<std::mutex> CallerLock(CallerMtx, std::defer_lock);
   if (TopLevel)
     CallerLock.lock();
+  J.Nested = !TopLevel && InStructuredChunk;
   ThreadPool *PrevPool = CurrentPool;
   CurrentPool = this;
   std::exception_ptr JobError;
@@ -169,15 +191,26 @@ void ThreadPool::submitAndRun(Job &J) {
     std::unique_lock<std::mutex> Lock(Mtx);
     Jobs.push_back(&J);
     WorkAvailable.notify_all();
-    // Participate in our own job; idle workers (and only they) help.
+    // A nested job is work for submitters waiting on their own stragglers.
+    if (J.Nested)
+      JobDone.notify_all();
+    // Participate in our own job first.
     while (J.Next < J.N)
       runOneChunk(J, Lock);
-    // Wait out chunks claimed by other threads. They always finish: a
-    // claimed chunk is being executed by a live thread, and any job that
+    // Then, until the chunks other threads claimed finish, run chunks of
+    // other nested jobs instead of sleeping. The wait always ends: a
+    // claimed chunk is being executed by a live thread, any job that
     // execution submits drains the same way (induction on nesting depth),
-    // so this wait cannot deadlock. A captured exception also cancelled
-    // the unclaimed chunks, so the same wait covers the failure path.
-    JobDone.wait(Lock, [&] { return J.Remaining == 0; });
+    // and a helped chunk is a leaf range that waits only on its own nested
+    // jobs. A captured exception also cancelled the unclaimed chunks, so
+    // the same wait covers the failure path.
+    while (J.Remaining > 0) {
+      if (Job *H = helpableJob()) {
+        runOneChunk(*H, Lock);
+        continue;
+      }
+      JobDone.wait(Lock);
+    }
     Jobs.erase(std::find(Jobs.begin(), Jobs.end(), &J));
     JobError = J.Error;
   }

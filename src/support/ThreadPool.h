@@ -10,10 +10,13 @@
 /// The pool supports *nested* fan-out on itself: a worker executing a chunk
 /// may submit a sub-range job (a parallel leaf kernel inside a parallel
 /// task), which is pushed onto the same pool's job list. The submitting
-/// thread participates in its own sub-job and any idle worker may help, so
-/// two-level (task x leaf) parallelism shares one set of N threads and never
-/// oversubscribes. Calls on a pool from a *different* pool's worker run
-/// inline — cross-pool recruitment is structurally impossible.
+/// thread participates in its own sub-job, any idle worker may help, and a
+/// submitter waiting on chunks other threads claimed runs chunks of other
+/// nested jobs meanwhile, so two-level (task x leaf) parallelism shares one
+/// set of N threads, never oversubscribes, and no waiting submitter sleeps
+/// while a nested chunk is unclaimed. Calls on a pool from a *different*
+/// pool's worker run inline — cross-pool recruitment is structurally
+/// impossible.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -189,13 +192,28 @@ private:
     /// Non-null for detached jobs: completion marks the ticket done and
     /// unregisters the job (no submitter is waiting inside submitAndRun).
     AsyncState *Async = nullptr;
+    /// Submitted from inside a chunk of a structured job of this pool —
+    /// every leaf fan-out inside a task. Waiting submitters may run its
+    /// chunks, so a nested chunk must wait on nothing but its own nested
+    /// jobs. Top-level jobs (submitted from outside this pool's chunks, or
+    /// from a detached job's chunk, which runs a whole execution) are never
+    /// claimed by another job's waiting submitter: the engine's walk chunks
+    /// block on its ready queue, so an execution must not be started from
+    /// inside a structured chunk of the pool it runs on.
+    bool Nested = false;
   };
 
   /// True when a parallelFor of \p N items must run inline on the caller.
   bool mustInline(int64_t N) const;
-  /// Registers \p J, participates until no chunk is unclaimed, then waits
-  /// for straggler chunks claimed by other threads.
+  /// Registers \p J and participates until no chunk is unclaimed. Until
+  /// the chunks other threads claimed finish, the submitter runs chunks of
+  /// other nested jobs (helpableJob) and sleeps on JobDone only when none
+  /// is claimable; it never claims a top-level job's chunk.
   void submitAndRun(Job &J);
+  /// The oldest nested job with an unclaimed chunk that the calling waiter
+  /// may help, or null. A waiter outside every chunk of this pool helps
+  /// only while Live < NumThreads, so the live bound holds. Mtx held.
+  Job *helpableJob() const;
   /// Claims and runs one chunk of \p J. Mtx held on entry and exit.
   void runOneChunk(Job &J, std::unique_lock<std::mutex> &Lock);
   void workerLoop();

@@ -12,7 +12,10 @@
 // MTTKRP plan (general affine leaves, reduction writeback), and a
 // single-task plan (all threads handed to the leaf as nested sub-range
 // jobs), TTM and MTTKRP leaves routed through the packed GEMM, diffing
-// everything across the (task-ways x leaf-ways) grid. Also
+// everything across the (task-ways x leaf-ways) grid. The default split
+// (every leaf gets the whole pool, waiting threads help stragglers) runs
+// Cannon and SUMMA with leaves past the GEMM fan-out cutoff, NaN-poisoned
+// outputs exposing any element the in-task zero misses. Also
 // covers the launch-phase zero-skip for overwrite-proven leaves, over a
 // table of non-product statements whose compiled leaves (block-at-a-time
 // tape, or per point where the statement needs it) must match the seed's
@@ -26,6 +29,8 @@
 #include "runtime/Executor.h"
 #include "runtime/Region.h"
 
+#include <cmath>
+#include <cstring>
 #include <limits>
 
 #include <gtest/gtest.h>
@@ -71,7 +76,7 @@ struct RunResult {
   std::vector<double> OutData;
 };
 
-/// TaskWays == 0 runs with setNumThreads(Threads) (adaptive split);
+/// TaskWays == 0 runs with setNumThreads(Threads) (default split);
 /// otherwise the split is pinned to TaskWays x LeafWays.
 RunResult runAt(const Plan &P, const Mapper &Map,
                 const std::vector<TensorVar> &Tensors, int Threads,
@@ -213,7 +218,80 @@ fillRegions(const LeafCase &Case,
   return Regions;
 }
 
+/// The output bytes of one CompiledPlan execution at \p Threads on the
+/// default split, with the output region NaN-poisoned beforehand: an
+/// element the execution neither zeroes nor assigns stays NaN.
+std::vector<double> poisonedRun(CompiledPlan &CP,
+                                std::map<TensorVar, Region *> &Regions,
+                                const TensorVar &Out, int Threads,
+                                bool Views) {
+  Regions[Out]->fill(
+      [](const Point &) { return std::numeric_limits<double>::quiet_NaN(); });
+  ExecOptions Opts;
+  Opts.NumThreads = Threads;
+  Opts.ZeroCopyViews = Views;
+  CP.execute(Regions, Opts);
+  const double *D = Regions[Out]->data();
+  return std::vector<double>(D, D + Regions[Out]->volume());
+}
+
+/// Runs \p P at 1 thread and at 4 threads on the default split, views on
+/// and off, twice each (the second round reuses pooled arenas), and
+/// requires every run's output bytes to equal the 1-thread views-on run's.
+void expectDefaultSplitMatches(const Plan &P,
+                               const std::vector<TensorVar> &Tensors) {
+  CompiledPlan CP(P);
+  std::map<TensorVar, Region *> Regions;
+  std::vector<std::unique_ptr<Region>> Storage;
+  for (size_t I = 0; I < Tensors.size(); ++I) {
+    const TensorVar &T = Tensors[I];
+    Storage.push_back(std::make_unique<Region>(T, P.formatOf(T), P.M));
+    Storage.back()->fillRandom(41 * I + 3);
+    Regions[T] = Storage.back().get();
+  }
+  const TensorVar &Out = Tensors[0];
+  std::vector<double> Ref = poisonedRun(CP, Regions, Out, 1, true);
+  for (double V : Ref)
+    ASSERT_FALSE(std::isnan(V)) << "the 1-thread run left an element unset";
+  for (int Round = 0; Round < 2; ++Round)
+    for (bool Views : {true, false})
+      for (int Threads : {1, 4}) {
+        std::vector<double> Got =
+            poisonedRun(CP, Regions, Out, Threads, Views);
+        ASSERT_EQ(Got.size(), Ref.size());
+        EXPECT_EQ(std::memcmp(Got.data(), Ref.data(),
+                              Ref.size() * sizeof(double)),
+                  0)
+            << (Views ? "views, " : "copies, ") << Threads
+            << " threads, round " << Round;
+      }
+}
+
 } // namespace
+
+TEST(Determinism, DefaultSplitCannonInPlaceAccumulation) {
+  // Cannon 2x2 at n=512: 256^3 leaves, past the 2^20 GEMM fan-out cutoff,
+  // so at 4 threads each of the 4 tasks' leaves fans out over the whole
+  // pool. The output accumulates in place (home-resident, exclusive
+  // rectangles covering C), so the region-wide zero is dead and each task
+  // zeroes its own rectangle before its first step.
+  MatmulOptions Opts;
+  Opts.N = 512;
+  Opts.Procs = 4;
+  MatmulProblem Prob = buildMatmul(MatmulAlgo::Cannon, Opts);
+  expectDefaultSplitMatches(Prob.P, {Prob.A, Prob.B, Prob.C});
+}
+
+TEST(Determinism, DefaultSplitSummaMoreTasksThanThreads) {
+  // SUMMA on 5 processors at 4 threads: 5 tasks on a 4-thread pool, 64 x
+  // 320 x 64 leaves past the GEMM fan-out cutoff. The fifth task starts
+  // when the first ends, and threads whose task has ended help it.
+  MatmulOptions Opts;
+  Opts.N = 320;
+  Opts.Procs = 5;
+  MatmulProblem Prob = buildMatmul(MatmulAlgo::Summa, Opts);
+  expectDefaultSplitMatches(Prob.P, {Prob.A, Prob.B, Prob.C});
+}
 
 TEST(Determinism, RotatedCannonPlan) {
   MatmulOptions Opts;
@@ -251,7 +329,7 @@ TEST(Determinism, JohnsonReductionWriteback) {
 }
 
 TEST(Determinism, SingleTaskLeafFanout) {
-  // One task, eight threads: the adaptive split hands every thread to the
+  // One task, eight threads: the default split hands every thread to the
   // leaf GEMM as nested sub-range jobs. Parallel leaves must be bitwise
   // equal to the sequential run (the PR 1 engine could not reach this
   // configuration at all — leaves ran sequentially). N = 128 puts the leaf

@@ -5,7 +5,9 @@
 // N live workers no matter how task- and leaf-level fan-outs nest (the
 // counter is asserted inside ThreadPool on every chunk claim and exposed as
 // a high-water mark here), every index of a nested fan-out must run exactly
-// once, and the adaptive split must cover its invariants.
+// once, a submitter waiting on its own stragglers must run other nested
+// jobs' chunks but never a top-level job's, and the split must follow its
+// rule.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +23,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
+#include <optional>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -48,12 +54,17 @@ TEST(ThreadPool, LiveWorkersBoundedUnderNestedFanout) {
     // Deep two-level fan-out with more jobs than threads at both levels:
     // every leaf sub-range job lands on the same pool, so the live count
     // must stay within N even while task chunks and leaf chunks interleave.
+    // Every third task's ranges run 16x longer, so submitters finish their
+    // own chunks early and wait on stragglers: the bound is checked while
+    // waiters help other nested jobs.
     std::atomic<int64_t> Sink{0};
-    Pool.parallelFor(4 * N, [&](int64_t) {
+    Pool.parallelFor(4 * N, [&](int64_t O) {
+      int64_t Reps = O % 3 == 0 ? 256 : 16;
       Pool.parallelForWays(256, N, [&](int64_t Lo, int64_t Hi) {
         int64_t S = 0;
-        for (int64_t I = Lo; I < Hi; ++I)
-          S += I * I;
+        for (int64_t R = 0; R < Reps; ++R)
+          for (int64_t I = Lo; I < Hi; ++I)
+            S += (I ^ R) * I;
         Sink.fetch_add(S, std::memory_order_relaxed);
       });
     });
@@ -84,6 +95,126 @@ TEST(ThreadPool, FanoutActuallyOverlapsWorkers) {
   });
   EXPECT_FALSE(TimedOut.load());
   EXPECT_EQ(Pool.liveWorkerHighWater(), 4);
+}
+
+namespace {
+
+/// Spin-waits with a deadline shared by one scenario: a pool whose waiters
+/// sleep where they should help fails the test instead of hanging it.
+struct Watchdog {
+  std::chrono::steady_clock::time_point Deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::atomic<bool> TimedOut{false};
+
+  void await(const std::atomic<bool> &Flag) {
+    while (!Flag.load() && !TimedOut.load()) {
+      if (std::chrono::steady_clock::now() > Deadline)
+        TimedOut.store(true);
+      std::this_thread::yield();
+    }
+  }
+};
+
+/// Three threads, all busy, and one nested chunk that only a waiting
+/// submitter can run. On a 3-thread pool, outer chunk 1 (thread B) submits
+/// job JB: B runs b0, which waits until b1 has started, and the pool's
+/// idle third thread C claims b1, which waits until a1 has started. Outer
+/// chunk 0 (thread A) then submits job JA, and A's chunk a0 waits until a1
+/// has started too. B, done with b0 and waiting on C's b1, is the only
+/// thread free to run a1, which throws when \p ThrowInA1. Returns whether
+/// the watchdog fired and what each owner's fan-out threw.
+struct HelpingOutcome {
+  bool TimedOut = false;
+  std::string AError, BError;
+};
+
+HelpingOutcome runHelpingScenario(bool ThrowInA1) {
+  ThreadPool Pool(3);
+  Watchdog Dog;
+  std::atomic<bool> B1Started{false}, A1Started{false};
+  HelpingOutcome Out;
+  auto runOwner = [](std::string &Error, const std::function<void()> &Fn) {
+    try {
+      Fn();
+    } catch (const std::exception &E) {
+      Error = E.what();
+    }
+  };
+  Pool.parallelFor(2, [&](int64_t O) {
+    if (O == 1) {
+      runOwner(Out.BError, [&] {
+        Pool.parallelForWays(2, 2, [&](int64_t Lo, int64_t) {
+          if (Lo == 0)
+            return Dog.await(B1Started);
+          B1Started.store(true);
+          Dog.await(A1Started);
+        });
+      });
+      return;
+    }
+    Dog.await(B1Started);
+    runOwner(Out.AError, [&] {
+      Pool.parallelForWays(2, 2, [&](int64_t Lo, int64_t) {
+        if (Lo == 0)
+          return Dog.await(A1Started);
+        A1Started.store(true);
+        if (ThrowInA1)
+          throw std::runtime_error("a1 failed");
+      });
+    });
+  });
+  Out.TimedOut = Dog.TimedOut.load();
+  return Out;
+}
+
+} // namespace
+
+TEST(ThreadPool, WaitingSubmitterHelpsNestedJobs) {
+  HelpingOutcome Out = runHelpingScenario(/*ThrowInA1=*/false);
+  EXPECT_FALSE(Out.TimedOut)
+      << "no waiting submitter ran the last unclaimed nested chunk";
+  EXPECT_EQ(Out.AError, "");
+  EXPECT_EQ(Out.BError, "");
+}
+
+TEST(ThreadPool, WaitingSubmitterSurfacesHelpedThrowAtItsOwner) {
+  // a1 throws on B's stack while B helps; the exception belongs to JA, so
+  // A's parallelForWays rethrows it and B's returns cleanly.
+  HelpingOutcome Out = runHelpingScenario(/*ThrowInA1=*/true);
+  EXPECT_FALSE(Out.TimedOut);
+  EXPECT_EQ(Out.AError, "a1 failed");
+  EXPECT_EQ(Out.BError, "");
+}
+
+TEST(ThreadPool, WaitingSubmitterNeverClaimsTopLevelChunks) {
+  // On a 2-thread pool the caller runs m0 and submits nested job NJ; its
+  // chunk n0 waits until the worker has claimed n1, then submits a detached
+  // job whose one chunk blocks until the caller's NJ fan-out has returned.
+  // n1 holds the worker for a while, so the caller waits on its own
+  // straggler with that top-level chunk unclaimed. Taking it would block
+  // the caller on its own return: the watchdog would fire.
+  ThreadPool Pool(2);
+  Watchdog Dog;
+  std::atomic<bool> N1Started{false}, DetachedQueued{false}, NJReturned{false};
+  std::optional<ThreadPool::Ticket> Detached;
+  Pool.parallelForWays(2, 2, [&](int64_t Lo, int64_t) {
+    if (Lo != 0)
+      return;
+    Pool.parallelForWays(2, 2, [&](int64_t NLo, int64_t) {
+      if (NLo == 0) {
+        Dog.await(N1Started);
+        Detached = Pool.submitAsync([&] { Dog.await(NJReturned); });
+        DetachedQueued.store(true);
+        return;
+      }
+      N1Started.store(true);
+      Dog.await(DetachedQueued);
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    });
+    NJReturned.store(true);
+  });
+  Detached->wait();
+  EXPECT_FALSE(Dog.TimedOut.load());
 }
 
 TEST(ThreadPool, AsyncTicketsCompleteAndHelpInline) {
@@ -179,26 +310,20 @@ TEST(ThreadPool, ParseNumThreadsEnvRejectsMalformedValues) {
 }
 
 TEST(ExecContext, AdaptiveSplitInvariants) {
+  // Task ways follow the launch domain up to the pool; every leaf gets the
+  // whole pool. The product may exceed N: the live-thread bound, asserted
+  // on every chunk claim, is what keeps the pool from oversubscribing.
   ExecContext Ctx(8);
-  // Single-task plans hand every thread to the leaf.
-  EXPECT_EQ(Ctx.splitFor(1).TaskWays, 1);
-  EXPECT_EQ(Ctx.splitFor(1).LeafWays, 8);
-  // Saturated task level keeps leaves sequential.
-  EXPECT_EQ(Ctx.splitFor(8).TaskWays, 8);
-  EXPECT_EQ(Ctx.splitFor(8).LeafWays, 1);
-  EXPECT_EQ(Ctx.splitFor(100).TaskWays, 8);
-  EXPECT_EQ(Ctx.splitFor(100).LeafWays, 1);
-  // In between, leaves get the threads the task level cannot use, and the
-  // product never exceeds the budget.
   for (int64_t Tasks = 1; Tasks <= 20; ++Tasks) {
     ExecContext::Split S = Ctx.splitFor(Tasks);
-    EXPECT_GE(S.TaskWays, 1);
-    EXPECT_GE(S.LeafWays, 1);
-    EXPECT_LE(S.TaskWays * S.LeafWays, 8) << "tasks " << Tasks;
+    EXPECT_EQ(S.TaskWays, std::min<int64_t>(Tasks, 8)) << "tasks " << Tasks;
+    EXPECT_EQ(S.LeafWays, 8) << "tasks " << Tasks;
   }
-  EXPECT_EQ(Ctx.splitFor(2).LeafWays, 4);
+  EXPECT_EQ(Ctx.splitFor(0).TaskWays, 1);
+  EXPECT_EQ(Ctx.splitFor(0).LeafWays, 1);
   ExecContext Seq(1);
   EXPECT_EQ(Seq.splitFor(1).LeafWays, 1);
+  EXPECT_EQ(Seq.splitFor(4).TaskWays, 1);
   EXPECT_EQ(Seq.pool(), nullptr);
 }
 
@@ -225,6 +350,16 @@ TEST(ExecContext, ExecutorNestedRunStaysWithinBudget) {
   Exec.setThreadSplit(2, 4);
   Exec.run({{Prob.A, &RA}, {Prob.B, &RB}, {Prob.C, &RC}});
   EXPECT_LE(Ctx.pool()->liveWorkerHighWater(), 8);
+
+  // The default split at tasks >= threads: 4 task ways on a 4-thread pool,
+  // and every leaf fans out over all 4 threads as a nested job.
+  ExecContext Ctx4(4);
+  Ctx4.pool()->resetLiveWorkerHighWater();
+  Executor Default(Prob.P);
+  Default.setExecContext(&Ctx4);
+  Default.run({{Prob.A, &RA}, {Prob.B, &RB}, {Prob.C, &RC}});
+  EXPECT_LE(Ctx4.pool()->liveWorkerHighWater(), 4);
+  EXPECT_GE(Ctx4.pool()->liveWorkerHighWater(), 1);
 }
 
 TEST(ExecContext, ParallelGatherMatchesSequential) {

@@ -57,7 +57,7 @@ void expectSame(const std::vector<double> &A, const std::vector<double> &B) {
     ASSERT_EQ(A[I], B[I]) << "element " << I;
 }
 
-/// Sweeps views-on against views-off across adaptive 1 and 8 threads and
+/// Sweeps views-on against views-off across default-split 1 and 8 threads and
 /// every pinned {1,2,8} x {1,4} task/leaf split.
 void expectViewsIdentical(const Plan &P,
                           const std::vector<TensorVar> &Tensors) {
